@@ -36,6 +36,17 @@ from .subalgebra import (
 from .suites import SUITES, centre_suite, run_suite
 
 
+def _degree(text: str) -> int:
+    """argparse type for --degree: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group", default="A",
                         help="A, B, D, or custom:<config.json> (default A)")
@@ -164,7 +175,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=SUITES)
-    p_v.add_argument("--degree", type=int, default=None)
+    p_v.add_argument("--degree", type=_degree, default=None)
     p_v.add_argument("--mode", choices=("so", "gl"), default=None,
                      help="subalgebra family for the centre suite")
     _add_common(p_v)
@@ -172,13 +183,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("basis", help="list subalgebra basis words")
     p_b.add_argument("--mode", choices=("so", "gl"), default="so")
-    p_b.add_argument("--degree", type=int, default=2)
+    p_b.add_argument("--degree", type=_degree, default=2)
     _add_common(p_b)
     p_b.set_defaults(func=cmd_basis)
 
     p_c = sub.add_parser("centre", help="compute the centralizer basis")
     p_c.add_argument("--mode", choices=("so", "gl"), default="so")
-    p_c.add_argument("--degree", type=int, default=None)
+    p_c.add_argument("--degree", type=_degree, default=None)
     _add_common(p_c)
     p_c.set_defaults(func=cmd_centre)
     return parser

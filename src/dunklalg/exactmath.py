@@ -42,6 +42,29 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
+def _add_scaled(acc: dict, terms: dict, r) -> None:
+    """acc += r * terms on raw coefficient maps; r is the int 1 or -1 on the
+    fast path (no product is formed), else a Fraction. Zeros may remain."""
+    get = acc.get
+    if r == 1:
+        for s, v in terms.items():
+            p = get(s)
+            acc[s] = v if p is None else p + v
+    elif r == -1:
+        for s, v in terms.items():
+            p = get(s)
+            acc[s] = -v if p is None else p - v
+    else:
+        for s, v in terms.items():
+            p = get(s)
+            acc[s] = v * r if p is None else p + v * r
+
+
+def _unit_or(r: Fraction):
+    """r as the int 1 or -1 when it is one (the _add_scaled fast path)."""
+    return int(r) if r in (1, -1) else r
+
+
 def _rat_content(coeffs: Iterable[Fraction]) -> Fraction:
     num = 0
     den = 1
@@ -546,6 +569,60 @@ class XPoly:
                     rem[key] = v
         return XPoly(self.nvars, self.nsym, {e: c for e, c in out.items() if not c.is_zero()})
 
+    def mul_linear(self, vec: Sequence[Fraction]) -> XPoly:
+        """Product with the linear form (vec, x): one exponent shift per
+        nonzero entry of vec."""
+        if len(vec) != self.nvars:
+            raise ValueError("mixed polynomial contexts")
+        parts = [(k, _unit_or(Fraction(v))) for k, v in enumerate(vec) if v]
+        acc: dict[tuple[int, ...], dict] = {}
+        for e, c in self.terms.items():
+            for k, r in parts:
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                _add_scaled(acc.setdefault(key, {}), c.terms, r)
+        return XPoly(self.nvars, self.nsym, _coeff_polys(acc, self.nsym))
+
+    def div_linear(self, vec: Sequence[Fraction]) -> XPoly | None:
+        """Exact quotient by the linear form (vec, x), or None on a remainder.
+
+        Synthetic division in x_j, the first coordinate with vec[j] != 0.
+        Terms are taken in falling x_j-degree buckets: each one gives the
+        quotient term t = term / (vec[j] x_j), and t times the rest of the form
+        is subtracted from the bucket one degree lower. What is left in the
+        x_j-free bucket is the remainder. Exact over Q[g] since vec[j] is a
+        nonzero rational.
+        """
+        if len(vec) != self.nvars:
+            raise ValueError("mixed polynomial contexts")
+        j = next((k for k, v in enumerate(vec) if v), None)
+        if j is None:
+            raise ZeroDivisionError("division by the zero linear form")
+        inv = _unit_or(1 / Fraction(vec[j]))
+        rest = [(k, _unit_or(-Fraction(v) * inv)) for k, v in enumerate(vec) if v and k != j]
+        rem = {e: dict(c.terms) for e, c in self.terms.items()}
+        buckets: dict[int, list[tuple[int, ...]]] = {}
+        for e in rem:
+            buckets.setdefault(e[j], []).append(e)
+        out: dict[tuple[int, ...], dict] = {}
+        for d in range(max(buckets, default=0), 0, -1):
+            lower = buckets.setdefault(d - 1, [])
+            for e in buckets.pop(d, ()):
+                c = {s: v for s, v in rem.pop(e).items() if v}
+                if not c:
+                    continue
+                m = e[:j] + (d - 1,) + e[j + 1:]
+                _add_scaled(out.setdefault(m, {}), c, inv)
+                for k, r in rest:
+                    key = m[:k] + (m[k] + 1,) + m[k + 1:]
+                    tgt = rem.get(key)
+                    if tgt is None:
+                        tgt = rem[key] = {}
+                        lower.append(key)
+                    _add_scaled(tgt, c, r)
+        if any(v for c in rem.values() for v in c.values()):
+            return None
+        return XPoly(self.nvars, self.nsym, _coeff_polys(out, self.nsym))
+
     def render(self, symbol_names: Sequence[str], var: str = "x") -> str:
         if not self.terms:
             return "0"
@@ -576,6 +653,16 @@ class XPoly:
         return "XPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.nsym)))
 
 
+def _coeff_polys(acc: dict[tuple[int, ...], dict], nsym: int) -> dict[tuple[int, ...], CoeffPoly]:
+    """Raw coefficient maps to nonzero CoeffPoly terms, dropping zeros."""
+    out = {}
+    for e, t in acc.items():
+        t = {s: v for s, v in t.items() if v}
+        if t:
+            out[e] = CoeffPoly(nsym, t)
+    return out
+
+
 def poly_divide_exact(p: XPoly, q: XPoly) -> XPoly:
     """Exact division in the polynomial ring; NotDivisible on any remainder."""
     r = p.try_divide(q)
@@ -588,7 +675,7 @@ def poly_divide_exact(p: XPoly, q: XPoly) -> XPoly:
 # LocPoly: polynomials divided by products of root linear forms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # one entry per root system in use
 def _root_lookup(roots: tuple[tuple[Fraction, ...], ...]) -> dict[tuple[Fraction, ...], tuple[int, int]]:
     table: dict[tuple[Fraction, ...], tuple[int, int]] = {}
     for i, r in enumerate(roots):
@@ -615,22 +702,22 @@ class LocPoly:
         if reduce:
             self._reduce()
 
-    def _form(self, idx: int) -> XPoly:
-        return XPoly.linear_form(self.roots[idx], self.num.nsym)
-
     def _reduce(self) -> None:
         if self.num.is_zero():
             self.den = {}
             return
         for idx in list(self.den):
-            while self.den.get(idx, 0) > 0:
-                q = self.num.try_divide(self._form(idx))
+            m = self.den[idx]
+            while m:
+                q = self.num.div_linear(self.roots[idx])
                 if q is None:
                     break
                 self.num = q
-                self.den[idx] -= 1
-            if self.den.get(idx, 0) == 0:
-                self.den.pop(idx, None)
+                m -= 1
+            if m:
+                self.den[idx] = m
+            else:
+                del self.den[idx]
 
     @staticmethod
     def from_poly(p: XPoly, roots) -> LocPoly:
@@ -640,22 +727,20 @@ class LocPoly:
         if self.roots != other.roots:
             raise ValueError("mixed localization contexts")
 
+    def _lifted(self, den: dict[int, int]) -> XPoly:
+        """The numerator over den, a multiple of this denominator."""
+        num = self.num
+        for idx, m in den.items():
+            for _ in range(m - self.den.get(idx, 0)):
+                num = num.mul_linear(self.roots[idx])
+        return num
+
     def __add__(self, other: LocPoly) -> LocPoly:
         self._check(other)
         den = dict(self.den)
         for idx, m in other.den.items():
             den[idx] = max(den.get(idx, 0), m)
-        left = self.num
-        for idx, m in den.items():
-            extra = m - self.den.get(idx, 0)
-            for _ in range(extra):
-                left = left * self._form(idx)
-        right = other.num
-        for idx, m in den.items():
-            extra = m - other.den.get(idx, 0)
-            for _ in range(extra):
-                right = right * self._form(idx)
-        return LocPoly(self.roots, left + right, den)
+        return LocPoly(self.roots, self._lifted(den) + other._lifted(den), den)
 
     def __neg__(self) -> LocPoly:
         return LocPoly(self.roots, -self.num, self.den, reduce=False)
@@ -694,22 +779,25 @@ class LocPoly:
     __hash__ = None
 
     def derivative(self, i: int) -> LocPoly:
-        nsym = self.num.nsym
-        base = self.num.derivative(i)
+        """Quotient rule over the product of the denominator forms F_k^m_k.
+
+        Folding in one form F at a time, the numerator becomes
+        num * F - m (dF/dx_i) * lifted, where lifted is the original
+        numerator times the forms folded in so far."""
+        num = self.num.derivative(i)
         if not self.den:
-            return LocPoly(self.roots, base, None, reduce=False)
-        forms = {idx: self._form(idx) for idx in self.den}
-        total = base
-        for idx in self.den:
-            total = total * forms[idx]
-        for idx, m in self.den.items():
-            part = self.num.scaled(CoeffPoly.const(-m * self.roots[idx][i], nsym))
-            for jdx in self.den:
-                if jdx != idx:
-                    part = part * forms[jdx]
-            total = total + part
+            return LocPoly(self.roots, num, None, reduce=False)
+        lifted = self.num
+        last = len(self.den) - 1
+        for n, (idx, m) in enumerate(self.den.items()):
+            form = self.roots[idx]
+            num = num.mul_linear(form)
+            if form[i]:
+                num = num + lifted.scaled(-m * form[i])
+            if n < last:
+                lifted = lifted.mul_linear(form)
         den = {idx: m + 1 for idx, m in self.den.items()}
-        return LocPoly(self.roots, total, den)
+        return LocPoly(self.roots, num, den)
 
     def apply_linear(self, cols: Sequence[Sequence[Fraction]],
                      perm: Sequence[int] | None = None,

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .cherednik import CherednikContext, PBWElement, WrongRootSystem
 from .coxeter import GroupElement, MultiplicityMap, RootSystem
-from .exactmath import CoeffPoly, LocPoly, XPoly, poly_divide_exact
+from .exactmath import CoeffPoly, LocPoly, NotDivisible, XPoly
 from .reporting import CheckResult
 
 _F1 = Fraction(1)
@@ -42,7 +42,6 @@ class DunklContext:
         self.n = rs.rank
         self.nsym = self.gmap.nsym
         self.roots = rs.positive_roots
-        self._forms = tuple(XPoly.linear_form(r, self.nsym) for r in self.roots)
         self._refl_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
     @staticmethod
@@ -88,7 +87,9 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: XPoly) -> XPoly:
         diff = p - ctx.reflect(i, p)
         if diff.is_zero():
             continue
-        quot = poly_divide_exact(diff, ctx._forms[i])
+        quot = diff.div_linear(alpha)
+        if quot is None:
+            raise NotDivisible("divided difference is not a polynomial")
         out = out + quot.scaled(ctx.gmap.of_root(ctx.rs, i) * axi)
     return out
 

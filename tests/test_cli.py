@@ -150,3 +150,18 @@ def test_nonzero_residual_is_printed(capsys):
                     "--rank", "2")
     assert code == 0
     assert out == "-2*g*s(12)\n"   # true commutator is -g*s(12)
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hamiltonian", "--group", "A", "--rank", "2", "--degree", "-1"],
+    ["verify", "restriction", "--group", "A", "--rank", "2", "--degree", "-1"],
+    ["basis", "--mode", "so", "--group", "A", "--rank", "3", "--degree", "-2"],
+    ["centre", "--mode", "gl", "--group", "A", "--rank", "2", "--degree", "-1"],
+])
+def test_negative_degree_is_a_usage_error(capsys, argv):
+    # a negative bound used to give an empty run reported as a pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--degree" in captured.err

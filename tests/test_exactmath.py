@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dunklalg.coxeter import build_root_system
 from dunklalg.exactmath import (
     CoeffPoly,
     FracFreeSolver,
@@ -286,3 +287,123 @@ def test_locpoly_derivative_quotient_rule():
     x2 = XPoly.variable(1, 3, 1)
     h = loc(x1, {0: 1})
     assert h.derivative(0) == loc(-x2, {0: 2})
+
+
+# ---------------------------------------------------------------------------
+# Linear-form kernels against the generic division oracle
+# ---------------------------------------------------------------------------
+
+def _rotated_b4_roots():
+    # B4 turned by the rational rotation (3/5, 4/5) in the x1-x2 plane
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    return tuple((c * r[0] - s * r[1], s * r[0] + c * r[1]) + tuple(r[2:])
+                 for r in build_root_system("B", 4).positive_roots)
+
+
+ROOT_CASES = {
+    "A4": (build_root_system("A", 4).positive_roots, 1),
+    "B3": (build_root_system("B", 3).positive_roots, 2),   # two orbits, short roots e_i
+    "B4-rotated": (_rotated_b4_roots(), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_linear_kernels_match_generic_division(case):
+    roots, nsym = ROOT_CASES[case]
+    n = len(roots[0])
+    rng = random.Random(41)
+    zero = XPoly.zero(n, nsym)
+    non_divisible = 0
+    for r in roots:
+        form = XPoly.linear_form(r, nsym)
+        assert zero.div_linear(r) == zero == zero.try_divide(form)
+        for _ in range(4):
+            p = rand_xpoly(rng, n, nsym, 2)
+            pr = p.mul_linear(r)
+            assert pr == p * form
+            assert pr.div_linear(r) == p == pr.try_divide(form)
+            # p itself is usually not a multiple of the form; both must agree
+            q = p.div_linear(r)
+            assert q == p.try_divide(form)
+            non_divisible += q is None
+            bumped = pr + XPoly.one(n, nsym)
+            assert bumped.div_linear(r) is None
+            assert bumped.try_divide(form) is None
+    assert non_divisible > 0
+
+
+def _reference_reduce(roots, num, den):
+    """Canonical (num, den) by generic try_divide, each form as often as it goes."""
+    if num.is_zero():
+        return num, {}
+    den = dict(den)
+    for idx in list(den):
+        form = XPoly.linear_form(roots[idx], num.nsym)
+        while den[idx]:
+            q = num.try_divide(form)
+            if q is None:
+                break
+            num = q
+            den[idx] -= 1
+        if not den[idx]:
+            del den[idx]
+    return num, den
+
+
+def _reference_add(f, g):
+    nsym = f.num.nsym
+    den = dict(f.den)
+    for idx, m in g.den.items():
+        den[idx] = max(den.get(idx, 0), m)
+    total = XPoly.zero(f.num.nvars, nsym)
+    for h in (f, g):
+        num = h.num
+        for idx, m in den.items():
+            num = num * XPoly.linear_form(h.roots[idx], nsym) ** (m - h.den.get(idx, 0))
+        total = total + num
+    return _reference_reduce(f.roots, total, den)
+
+
+def _reference_derivative(f, i):
+    nsym = f.num.nsym
+    forms = {idx: XPoly.linear_form(f.roots[idx], nsym) for idx in f.den}
+    total = f.num.derivative(i)
+    for idx in f.den:
+        total = total * forms[idx]
+    for idx, m in f.den.items():
+        part = f.num.scaled(-m * f.roots[idx][i])
+        for jdx in f.den:
+            if jdx != idx:
+                part = part * forms[jdx]
+        total = total + part
+    return _reference_reduce(f.roots, total, {idx: m + 1 for idx, m in f.den.items()})
+
+
+def _rand_locpoly(rng, roots, nsym):
+    """A LocPoly whose numerator shares some of its denominator's forms."""
+    n = len(roots[0])
+    picks = rng.sample(range(len(roots)), 2)
+    den = {idx: rng.randint(1, 2) for idx in picks}
+    num = rand_xpoly(rng, n, nsym, 2)
+    for idx in rng.sample(picks + [rng.randrange(len(roots))], 2):
+        num = num * XPoly.linear_form(roots[idx], nsym)
+    f = LocPoly(roots, num, den)
+    assert (f.num, f.den) == _reference_reduce(roots, num, den)
+    return f
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_locpoly_reduction_matches_reference(case):
+    roots, nsym = ROOT_CASES[case]
+    rng = random.Random(43)
+    for _ in range(6):
+        f = _rand_locpoly(rng, roots, nsym)
+        g = _rand_locpoly(rng, roots, nsym)
+        s = f + g
+        assert (s.num, s.den) == _reference_add(f, g)
+        d = f - g
+        assert (d.num, d.den) == _reference_add(f, -g)
+        assert (f - f).is_zero() and (f - f).den == {}
+        i = rng.randrange(len(roots[0]))
+        df = f.derivative(i)
+        assert (df.num, df.den) == _reference_derivative(f, i)
