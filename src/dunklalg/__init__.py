@@ -40,13 +40,11 @@ from .coxeter import (
 )
 from .exactmath import (
     CoeffPoly,
-    FracFreeSolver,
     LocPoly,
     NotDivisible,
     Rat,
     XPoly,
     locpoly_apply_reflection,
-    nullspace,
     poly_divide_exact,
 )
 from .expr import evaluate, parse_expression, print_expression

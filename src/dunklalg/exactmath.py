@@ -2,8 +2,9 @@
 
 Provides the scalar ring Q[g1..gk] of coupling polynomials (CoeffPoly),
 polynomials in the coordinates with such coefficients (XPoly), polynomials
-localized at products of root linear forms (LocPoly), and fraction-free
-linear algebra over the coupling ring (FracFreeSolver).
+localized at products of root linear forms (LocPoly), and linear algebra
+over Q(g1..gk) on sparse rows: a rank certificate modulo 2^61 - 1 at a fixed
+point, and a fraction-free sparse echelon for exact ranks and nullspaces.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -254,16 +255,6 @@ class CoeffPoly:
         total = _F0
         for e, c in self.terms.items():
             v = c
-            for i, p in enumerate(e):
-                if p:
-                    v *= values[i] ** p
-            total += v
-        return total
-
-    def eval_float(self, values: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = c.numerator / c.denominator
             for i, p in enumerate(e):
                 if p:
                     v *= values[i] ** p
@@ -698,14 +689,12 @@ class LocPoly:
                  den: dict[int, int] | None = None, reduce: bool = True):
         self.roots = roots
         self.num = num
-        self.den = dict(den) if den else {}
+        # zero has the empty denominator, also when the caller skips reduction
+        self.den = dict(den) if den and not num.is_zero() else {}
         if reduce:
             self._reduce()
 
     def _reduce(self) -> None:
-        if self.num.is_zero():
-            self.den = {}
-            return
         for idx in list(self.den):
             m = self.den[idx]
             while m:
@@ -843,8 +832,78 @@ def locpoly_apply_reflection(f: LocPoly, s) -> LocPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free linear algebra over CoeffPoly
+# Linear algebra over Q(g1..gk): a modular certificate and an exact echelon
 # ---------------------------------------------------------------------------
+#
+# Specialising the couplings, or reducing mod a prime, can only lower a rank
+# (Schwartz 1980; Zippel 1979). So a full row rank mod _P at one point proves
+# full row rank over Q(g); the exact echelon runs only when that falls short.
+
+_P = (1 << 61) - 1
+
+
+def _generic_point(nsym: int) -> tuple[int, ...]:
+    """The fixed point mod _P at which the certificate evaluates the couplings;
+    large residues, not the small rationals (such as g = -1/2) where ranks drop."""
+    return tuple(0x9E3779B97F4A7C15 * (k + 1) % _P for k in range(nsym))
+
+
+def _mod_pivot_rows(rows: Sequence[dict[int, CoeffPoly]], point: Sequence[Fraction | int]
+                    ) -> list[int] | None:
+    """Indices of the pivot rows of a sparse echelon of rows at point, mod _P.
+
+    The rows they index are independent over Q(g), so their number is a
+    lower bound on the rank over Q(g) and on the rank at point. None (no
+    certificate) when a denominator of the point or of a coefficient
+    vanishes mod _P.
+    """
+    inverses: dict[int, int | None] = {}
+
+    def residue(x) -> int | None:
+        d = x.denominator
+        if d not in inverses:
+            inverses[d] = pow(d, -1, _P) if d % _P else None
+        inv = inverses[d]
+        return None if inv is None else x.numerator * inv % _P
+
+    pt = [residue(v) for v in point]
+    if None in pt:
+        return None
+    monomials: dict[tuple[int, ...], int] = {}
+    pivots: dict[int, dict[int, int]] = {}
+    chosen = []
+    for idx, row in enumerate(rows):
+        r = {}
+        for col, p in row.items():
+            total = 0
+            for e, c in p.terms.items():
+                m = monomials.get(e)
+                if m is None:
+                    m = monomials[e] = math.prod(pow(x, k, _P) for x, k in zip(pt, e)) % _P
+                v = residue(c)
+                if v is None:
+                    return None
+                total += v * m
+            total %= _P
+            if total:
+                r[col] = total
+        while r:
+            col = min(r)
+            pr = pivots.get(col)
+            if pr is None:
+                inv = pow(r[col], -1, _P)
+                pivots[col] = {k: v * inv % _P for k, v in r.items()}
+                chosen.append(idx)
+                break
+            f = r[col]
+            for k, v in pr.items():
+                t = (r.get(k, 0) - f * v) % _P
+                if t:
+                    r[k] = t
+                else:
+                    r.pop(k, None)
+    return chosen
+
 
 class _RF:
     """Internal rational function num/den over CoeffPoly, gcd-normalized."""
@@ -882,253 +941,6 @@ class _RF:
         return _RF(self.num * other.den, self.den * other.num)
 
 
-def _pivot_weight(p: CoeffPoly) -> tuple[int, int]:
-    return (p.degree(), len(p.terms))
-
-
-class FracFreeSolver:
-    """Fraction-free (Bareiss) elimination over the coupling ring.
-
-    Reports exact rank over the fraction field Q(g1..gk) and a basis of the
-    right nullspace with entries cleared back to CoeffPoly.
-    """
-
-    def __init__(self, rows: Sequence[Sequence[CoeffPoly]]):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
-        self._echelon: list[list[CoeffPoly]] | None = None
-        self._pivcols: list[int] | None = None
-
-    def _eliminate(self) -> tuple[list[list[CoeffPoly]], list[int]]:
-        if self._echelon is not None:
-            return self._echelon, self._pivcols
-        m = [row[:] for row in self.rows]
-        nsym = m[0][0].nsym if m else 0
-        piv_cols: list[int] = []
-        prev = CoeffPoly.one(nsym) if m else None
-        r = 0
-        for c in range(self.ncols):
-            if r >= len(m):
-                break
-            best = None
-            for i in range(r, len(m)):
-                if not m[i][c].is_zero():
-                    w = _pivot_weight(m[i][c])
-                    if best is None or w < best[0]:
-                        best = (w, i)
-            if best is None:
-                continue
-            i = best[1]
-            m[r], m[i] = m[i], m[r]
-            piv = m[r][c]
-            for k in range(r + 1, len(m)):
-                if m[k][c].is_zero():
-                    factor = None
-                else:
-                    factor = m[k][c]
-                for j in range(c, self.ncols):
-                    v = piv * m[k][j]
-                    if factor is not None and not m[r][j].is_zero():
-                        v = v - factor * m[r][j]
-                    m[k][j] = v.divexact(prev)
-            prev = piv
-            piv_cols.append(c)
-            r += 1
-        self._echelon = m[:r] if m else []
-        self._pivcols = piv_cols
-        return self._echelon, piv_cols
-
-    def rank(self) -> int:
-        _, piv = self._eliminate()
-        return len(piv)
-
-    def nullspace(self) -> list[list[CoeffPoly]]:
-        ech, piv = self._eliminate()
-        nsym = self.rows[0][0].nsym if self.rows else 0
-        free = [c for c in range(self.ncols) if c not in piv]
-        basis = []
-        one = CoeffPoly.one(nsym)
-        zero = CoeffPoly.zero(nsym)
-        for f in free:
-            vec = [_RF(zero, normalize=False) for _ in range(self.ncols)]
-            vec[f] = _RF(one, normalize=False)
-            for k in range(len(piv) - 1, -1, -1):
-                c = piv[k]
-                acc = _RF(zero, normalize=False)
-                for j in range(c + 1, self.ncols):
-                    if not ech[k][j].is_zero() and not vec[j].is_zero():
-                        acc = acc + _RF(ech[k][j], normalize=False) * vec[j]
-                vec[c] = -(acc / _RF(ech[k][c], normalize=False))
-            basis.append(_clear_denominators(vec))
-        return basis
-
-
-def _clear_denominators(vec: list[_RF]) -> list[CoeffPoly]:
-    nsym = vec[0].num.nsym
-    common = CoeffPoly.one(nsym)
-    for rf in vec:
-        if rf.is_zero():
-            continue
-        g = coeff_gcd(common, rf.den)
-        common = common * rf.den.divexact(g)
-    out = []
-    for rf in vec:
-        if rf.is_zero():
-            out.append(CoeffPoly.zero(nsym))
-        else:
-            out.append(rf.num * common.divexact(rf.den))
-    content: CoeffPoly | None = None
-    for p in out:
-        if not p.is_zero():
-            content = p if content is None else coeff_gcd(content, p)
-            if isinstance(content, CoeffPoly) and content == CoeffPoly.one(nsym):
-                break
-    if content is not None and not (content == CoeffPoly.one(nsym)):
-        content = content.primitive() if content.degree() > 0 else content
-        try:
-            out = [p.divexact(content) if not p.is_zero() else p for p in out]
-        except NotDivisible:
-            pass
-    c = _rat_content(c for p in out for c in p.terms.values())
-    lead = next((p for p in out if not p.is_zero()), None)
-    if lead is not None and lead.leading()[1] < 0:
-        c = -c
-    if c != 1:
-        out = [p * (1 / c) for p in out]
-    return out
-
-
-def nullspace(solver: FracFreeSolver | Sequence[Sequence[CoeffPoly]]) -> list[list[CoeffPoly]]:
-    """Right nullspace basis over Q(g), entries cleared to CoeffPoly."""
-    if not isinstance(solver, FracFreeSolver):
-        solver = FracFreeSolver(solver)
-    return solver.nullspace()
-
-
-def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
-                     ) -> tuple[list[list[CoeffPoly]], list[int]]:
-    """Nullspace of a sparse row collection.
-
-    Rows whose support shrinks to a single column force that variable to
-    zero; this pruning loop usually collapses most of the matrix before the
-    dense elimination runs. Returns (basis, forced_zero_columns).
-    """
-    work = []
-    seen = set()
-    for row in rows:
-        items = tuple(sorted((c, p.key()) for c, p in row.items() if not p.is_zero()))
-        if items and items not in seen:
-            seen.add(items)
-            work.append({c: p for c, p in row.items() if not p.is_zero()})
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for row in work:
-            for c in forced:
-                row.pop(c, None)
-            if len(row) == 1:
-                forced.add(next(iter(row)))
-                changed = True
-            elif row:
-                remaining.append(row)
-        work = remaining
-    live = sorted({c for row in work for c in row})
-    col_of = {c: i for i, c in enumerate(live)}
-    zero = CoeffPoly.zero(nsym)
-
-    def _solve(candidate_rows: list[dict[int, CoeffPoly]]):
-        dense = []
-        for row in candidate_rows:
-            r = [zero] * len(live)
-            for c, p in row.items():
-                r[col_of[c]] = p
-            dense.append(r)
-        if not dense:
-            return [[CoeffPoly.one(nsym) if i == j else zero for j in range(len(live))]
-                    for i in range(len(live))]
-        return FracFreeSolver(dense).nullspace()
-
-    # a float specialization picks a small candidate row basis; the result is
-    # then verified exactly against every row, so the heuristic cannot lie.
-    # Sorting by simplicity first keeps the exact elimination low-degree.
-    work.sort(key=lambda row: (max(p.degree() for p in row.values()),
-                               len(row),
-                               sum(len(p.terms) for p in row.values())))
-    chosen_idx = _select_rows_float(work, nsym)
-    chosen = [work[i] for i in chosen_idx]
-    remaining = [work[i] for i in range(len(work)) if i not in chosen_idx]
-    core = None
-    for _ in range(6):
-        core = _solve(chosen)
-        violated = []
-        for row in remaining:
-            for vec in core:
-                acc = CoeffPoly.zero(nsym)
-                for c, p in row.items():
-                    v = vec[col_of[c]]
-                    if not v.is_zero():
-                        acc = acc + p * v
-                if not acc.is_zero():
-                    violated.append(row)
-                    break
-        if not violated:
-            break
-        chosen.extend(violated)
-        remaining = [r for r in remaining if id(r) not in {id(v) for v in violated}]
-    else:
-        chosen = work
-        core = _solve(chosen)
-
-    basis = []
-    for vec in core:
-        full = [zero] * ncols
-        for i, c in enumerate(live):
-            full[c] = vec[i]
-        basis.append(full)
-    free_unconstrained = [c for c in range(ncols) if c not in forced and c not in col_of]
-    for c in free_unconstrained:
-        full = [zero] * ncols
-        full[c] = CoeffPoly.one(nsym)
-        basis.append(full)
-    return basis, sorted(forced)
-
-
-def _select_rows_float(work: list[dict[int, CoeffPoly]], nsym: int) -> set[int]:
-    """Indices of a heuristic row basis via float Gaussian elimination."""
-    values = [0.6180339887498949 + 0.31 * k for k in range(nsym)]
-    pivots: dict[int, dict[int, float]] = {}
-    chosen: set[int] = set()
-    for idx, row in enumerate(work):
-        r = {c: p.eval_float(values) for c, p in row.items()}
-        scale = max(abs(v) for v in r.values()) if r else 0.0
-        if scale == 0.0:
-            continue
-        r = {c: v / scale for c, v in r.items() if abs(v / scale) > 1e-12}
-        while r:
-            c = min(r)
-            pr = pivots.get(c)
-            if pr is None:
-                pivots[c] = r
-                chosen.add(idx)
-                break
-            f = r[c] / pr[c]
-            merged = dict(r)
-            for k, v in pr.items():
-                t = merged.get(k, 0.0) - f * v
-                if abs(t) > 1e-9:
-                    merged[k] = t
-                else:
-                    merged.pop(k, None)
-            r = merged
-    return chosen
-
-
 def _normalize_sparse_row(row: dict[int, CoeffPoly]) -> dict[int, CoeffPoly]:
     row = {c: p for c, p in row.items() if not p.is_zero()}
     if not row:
@@ -1149,7 +961,8 @@ def _normalize_sparse_row(row: dict[int, CoeffPoly]) -> dict[int, CoeffPoly]:
 
 
 def _sparse_echelon(rows: Iterable[dict[int, CoeffPoly]]) -> dict[int, dict[int, CoeffPoly]]:
-    """Fraction-free sparse elimination; returns pivot_column -> pivot row."""
+    """Fraction-free sparse elimination; returns pivot_column -> pivot row,
+    whose lowest column is the pivot column."""
     pivots: dict[int, dict[int, CoeffPoly]] = {}
     for row in rows:
         row = _normalize_sparse_row(dict(row))
@@ -1173,73 +986,149 @@ def _sparse_echelon(rows: Iterable[dict[int, CoeffPoly]]) -> dict[int, dict[int,
     return pivots
 
 
+def _clear_denominators(vec: dict[int, _RF]) -> dict[int, CoeffPoly]:
+    """A CoeffPoly multiple of a nonzero sparse vector over Q(g), with the
+    common content divided out and its first entry's leading coefficient > 0."""
+    cols = sorted(vec)
+    nsym = vec[cols[0]].num.nsym
+    one = CoeffPoly.one(nsym)
+    common = one
+    for c in cols:
+        den = vec[c].den
+        common = common * den.divexact(coeff_gcd(common, den))
+    out = {c: vec[c].num * common.divexact(vec[c].den) for c in cols}
+    content = None
+    for c in cols:
+        content = out[c] if content is None else coeff_gcd(content, out[c])
+        if content == one:
+            break
+    if content != one:
+        content = content.primitive() if content.degree() > 0 else content
+        try:
+            out = {c: p.divexact(content) for c, p in out.items()}
+        except NotDivisible:
+            pass
+    r = _rat_content(v for p in out.values() for v in p.terms.values())
+    if out[cols[0]].leading()[1] < 0:
+        r = -r
+    if r != 1:
+        out = {c: p * (1 / r) for c, p in out.items()}
+    return out
+
+
+def _echelon_nullspace(rows: Iterable[dict[int, CoeffPoly]], cols: Iterable[int], nsym: int
+                       ) -> list[dict[int, CoeffPoly]]:
+    """Nullspace basis over Q(g) of rows supported on cols (ascending): for
+    each non-pivot column f of the exact echelon, the vector with 1 at f and 0
+    at the other non-pivot columns, by back-substitution over the pivot rows."""
+    pivots = _sparse_echelon(rows)
+    order = sorted(pivots, reverse=True)
+    one = _RF(CoeffPoly.one(nsym), normalize=False)
+    basis = []
+    for f in cols:
+        if f in pivots:
+            continue
+        vec = {f: one}
+        for c in order:
+            if c > f:
+                continue  # every entry of its row lies above f, where vec is 0
+            row = pivots[c]
+            acc = None
+            for k, p in row.items():
+                v = vec.get(k)
+                if v is not None:
+                    t = _RF(p, normalize=False) * v
+                    acc = t if acc is None else acc + t
+            if acc is not None and not acc.is_zero():
+                vec[c] = -(acc / _RF(row[c], normalize=False))
+        basis.append(_clear_denominators(vec))
+    return basis
+
+
+def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
+                     ) -> tuple[list[list[CoeffPoly]], list[int]]:
+    """Nullspace of a sparse row collection.
+
+    Rows whose support shrinks to a single column force that variable to
+    zero; this pruning loop usually collapses most of the matrix. The exact
+    echelon then runs on the rows that the modular certificate finds
+    independent, and the basis is verified exactly against every other row;
+    on any violation it is solved once more on all rows.
+    Returns (basis, forced_zero_columns).
+    """
+    work = []
+    seen = set()
+    for row in rows:
+        items = tuple(sorted((c, p.key()) for c, p in row.items() if not p.is_zero()))
+        if items and items not in seen:
+            seen.add(items)
+            work.append({c: p for c, p in row.items() if not p.is_zero()})
+    forced: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for row in work:
+            for c in forced:
+                row.pop(c, None)
+            if len(row) == 1:
+                forced.add(next(iter(row)))
+                changed = True
+            elif row:
+                remaining.append(row)
+        work = remaining
+    live = sorted({c for row in work for c in row})
+
+    # simple rows first keep the pivot rows, and so the exact elimination, low-degree
+    work.sort(key=lambda row: (max(p.degree() for p in row.values()),
+                               len(row),
+                               sum(len(p.terms) for p in row.values())))
+    chosen = _mod_pivot_rows(work, _generic_point(nsym))
+    if chosen is None:
+        chosen = range(len(work))
+    core = _echelon_nullspace((work[i] for i in chosen), live, nsym)
+    picked = set(chosen)
+    zero = CoeffPoly.zero(nsym)
+
+    def annihilates(row: dict[int, CoeffPoly], vec: dict[int, CoeffPoly]) -> bool:
+        acc = zero
+        for c, p in row.items():
+            v = vec.get(c)
+            if v is not None:
+                acc = acc + p * v
+        return acc.is_zero()
+
+    if not all(annihilates(row, vec) for i, row in enumerate(work) if i not in picked
+               for vec in core):
+        core = _echelon_nullspace(work, live, nsym)
+
+    basis = [[vec.get(c, zero) for c in range(ncols)] for vec in core]
+    constrained = forced.union(live)
+    for c in range(ncols):
+        if c not in constrained:
+            full = [zero] * ncols
+            full[c] = CoeffPoly.one(nsym)
+            basis.append(full)
+    return basis, sorted(forced)
+
+
 def sparse_rank_symbolic(rows: Iterable[dict[int, CoeffPoly]]) -> int:
-    """Rank over Q(g1..gk) by sparse cross-multiplication elimination."""
+    """Rank over Q(g1..gk): the row count when the modular certificate
+    reaches it, and otherwise the rank of the exact echelon."""
+    rows = list(rows)
+    nsym = next((p.nsym for row in rows for p in row.values()), 0)
+    chosen = _mod_pivot_rows(rows, _generic_point(nsym))
+    if chosen is not None and len(chosen) == len(rows):
+        return len(rows)
     return len(_sparse_echelon(rows))
 
 
 def sparse_rank_numeric(rows: Iterable[dict[int, CoeffPoly]], values: Sequence[Fraction]) -> int:
-    """Rank after a rational specialization; independent Fraction arithmetic."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        num = {c: p.substitute(values) for c, p in row.items()}
-        num = {c: v for c, v in num.items() if v}
-        while num:
-            c = min(num)
-            pr = pivots.get(c)
-            if pr is None:
-                pivots[c] = num
-                break
-            f = num[c] / pr[c]
-            new = dict(num)
-            for k, v in pr.items():
-                t = new.get(k, _F0) - f * v
-                if t:
-                    new[k] = t
-                else:
-                    new.pop(k, None)
-            num = new
-    return len(pivots)
-
-
-def matrix_apply(rows: Sequence[Sequence[CoeffPoly]], vec: Sequence[CoeffPoly]) -> list[CoeffPoly]:
-    out = []
-    for row in rows:
-        nsym = vec[0].nsym
-        acc = CoeffPoly.zero(nsym)
-        for a, b in zip(row, vec):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def rank_at_specialization(rows: Sequence[Sequence[CoeffPoly]], values: Sequence[Fraction]) -> int:
-    """Numeric rank after substituting rationals for the coupling symbols.
-
-    Plain Gaussian elimination over Fraction; deliberately independent of the
-    Bareiss path so the two can certify each other.
-    """
-    m = [[p.substitute(values) for p in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for i in range(rank + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank mod _P at the rational point values, a lower bound on the rank at
+    that point; where the point has no residue mod _P, the exact rank there."""
+    rows = list(rows)
+    chosen = _mod_pivot_rows(rows, values)
+    if chosen is not None:
+        return len(chosen)
+    return len(_sparse_echelon({c: CoeffPoly.const(p.substitute(values), 0) for c, p in row.items()}
+                               for row in rows))

@@ -47,6 +47,15 @@ def test_golden(capsys, name, argv):
     assert code == 0
 
 
+def test_golden_centre_so_b2(capsys):
+    # two coupling symbols: the only golden whose basis vectors pass through
+    # multivariate denominator clearing; the honest discrepancy exits 1
+    code, out = run(capsys, "centre", "--mode", "so", "--group", "B", "--rank", "2",
+                    "--degree", "4")
+    assert out == golden("centre_so_b2_d4.txt")
+    assert code == 1
+
+
 def test_identical_invocations_identical_bytes(capsys):
     argv = ["verify", "pfaffian", "--group", "A", "--rank", "4", "--format", "json"]
     _, first = run(capsys, *argv)

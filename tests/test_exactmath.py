@@ -8,19 +8,19 @@ import pytest
 from dunklalg.coxeter import build_root_system
 from dunklalg.exactmath import (
     CoeffPoly,
-    FracFreeSolver,
     LocPoly,
     NotDivisible,
     XPoly,
+    _generic_point,
     coeff_gcd,
     grevlex_key,
-    matrix_apply,
-    nullspace,
     parse_rational,
     poly_divide_exact,
-    rank_at_specialization,
     sparse_nullspace,
+    sparse_rank_numeric,
+    sparse_rank_symbolic,
 )
+from dunklalg.subalgebra import in_span
 
 
 def rand_coeffpoly(rng, nsym=1, deg=3):
@@ -140,6 +140,53 @@ def test_poly_divide_exact_raises():
         poly_divide_exact(x(0) + XPoly.one(2, 1), x(1))
 
 
+# ---------------------------------------------------------------------------
+# Linear algebra: plain Fraction oracles, independent of the kernels
+# ---------------------------------------------------------------------------
+
+def matrix_apply(rows, vec):
+    out = []
+    for row in rows:
+        acc = CoeffPoly.zero(vec[0].nsym)
+        for a, b in zip(row, vec):
+            if not a.is_zero() and not b.is_zero():
+                acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def rank_at_specialization(rows, values):
+    """Rank after substituting rationals for the coupling symbols, by plain
+    dense Gaussian elimination over Fraction."""
+    m = [[p.substitute(values) for p in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][c]
+        for i in range(rank + 1, nrows):
+            if m[i][c] != 0:
+                f = m[i][c] / pv
+                for j in range(c, ncols):
+                    m[i][j] -= f * m[rank][j]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def sparse(rows):
+    return [dict(enumerate(row)) for row in rows]
+
+
+def nullspace(rows):
+    return sparse_nullspace(sparse(rows), len(rows[0]), rows[0][0].nsym)[0]
+
+
 def test_nullspace_identity():
     one = CoeffPoly.one(1)
     zero = CoeffPoly.zero(1)
@@ -167,7 +214,7 @@ def test_generic_rank_certificate():
     rng = random.Random(23)
     for _ in range(8):
         rows = [[rand_coeffpoly(rng) for _ in range(3)] for _ in range(4)]
-        symbolic = FracFreeSolver(rows).rank()
+        symbolic = sparse_rank_symbolic(sparse(rows))
         specials = []
         for _ in range(3):
             vals = [Fraction(rng.randint(2, 40), rng.randint(1, 7))]
@@ -193,7 +240,7 @@ def _ad_m12_matrix_scalar_collapse():
 
 def test_nullspace_dimension_matches_numeric_oracle():
     rows = _ad_m12_matrix_scalar_collapse()
-    symbolic_rank = FracFreeSolver(rows).rank()
+    symbolic_rank = sparse_rank_symbolic(sparse(rows))
     rng = random.Random(29)
     for _ in range(3):
         vals = [Fraction(rng.randint(2, 50), rng.randint(1, 9))]
@@ -208,11 +255,11 @@ def test_rank_invariant_under_permutations():
     rng = random.Random(37)
     for _ in range(6):
         rows = [[rand_coeffpoly(rng) for _ in range(4)] for _ in range(4)]
-        base = FracFreeSolver(rows).rank()
+        base = sparse_rank_symbolic(sparse(rows))
         rperm = rng.sample(range(4), 4)
         cperm = rng.sample(range(4), 4)
         shuffled = [[rows[i][j] for j in cperm] for i in rperm]
-        assert FracFreeSolver(shuffled).rank() == base
+        assert sparse_rank_symbolic(sparse(shuffled)) == base
 
 
 def test_sparse_nullspace_pruning():
@@ -227,6 +274,104 @@ def test_sparse_nullspace_pruning():
     assert len(basis) == 2     # (0,1,1,0) and the unconstrained col 3
     for vec in basis:
         assert vec[0].is_zero()
+
+
+P = 2 ** 61 - 1   # the modulus of the rank certificate
+
+
+def test_rank_deficient_over_qg_falls_back_to_exact():
+    # row 3 = g * row 1 + row 2: no rank mod P can reach the row count
+    g = CoeffPoly.symbol(0, 1)
+    one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)
+    r1 = [g, one, g * g]
+    r2 = [one, g + 1, zero]
+    r3 = [a * g + b for a, b in zip(r1, r2)]
+    rows = [r1, r2, r3]
+    assert sparse_rank_symbolic(sparse(rows)) == 2
+    assert max(rank_at_specialization(rows, [Fraction(k, 3)]) for k in range(5, 9)) == 2
+    assert sparse_rank_numeric(sparse(rows), [Fraction(5, 3)]) == 2
+
+
+def test_numeric_rank_at_a_singular_point_stays_below_symbolic():
+    g = CoeffPoly.symbol(0, 1)
+    one = CoeffPoly.one(1)
+    rows = sparse([[one, g], [g, one]])          # det 1 - g^2
+    assert sparse_rank_symbolic(rows) == 2
+    assert sparse_rank_numeric(rows, [Fraction(1)]) == 1
+    assert sparse_rank_numeric(rows, [Fraction(-1)]) == 1
+    assert sparse_rank_numeric(rows, [Fraction(3, 7)]) == 2
+    g1, g2 = CoeffPoly.symbol(0, 2), CoeffPoly.symbol(1, 2)
+    rows2 = sparse([[g1, g2], [g2, g1]])         # det g1^2 - g2^2
+    assert sparse_rank_symbolic(rows2) == 2
+    assert sparse_rank_numeric(rows2, [Fraction(2, 3), Fraction(2, 3)]) == 1
+    assert sparse_rank_numeric(rows2, [Fraction(2, 3), Fraction(5, 3)]) == 2
+
+
+def test_denominator_vanishing_mod_p_stays_exact():
+    g = CoeffPoly.symbol(0, 1)
+    one = CoeffPoly.one(1)
+    tiny = CoeffPoly.const(Fraction(1, P), 1)
+    full = [[tiny * g, one], [one, g]]           # det g^2/P - 1
+    deficient = [[tiny, tiny * g, one], [one, g, one * P]]   # row 2 = P * row 1
+    assert sparse_rank_symbolic(sparse(full)) == 2
+    assert sparse_rank_symbolic(sparse(deficient)) == 1
+    for vals in ([Fraction(2)], [Fraction(1, P)]):
+        assert sparse_rank_numeric(sparse(full), vals) == rank_at_specialization(full, vals) == 2
+    basis, forced = sparse_nullspace(sparse(deficient), 3, 1)
+    assert forced == [] and len(basis) == 2
+    for vec in basis:
+        assert all(p.is_zero() for p in matrix_apply(deficient, vec))
+    assert sparse_rank_symbolic(sparse(basis)) == 2
+
+
+def test_rows_vanishing_at_the_certificate_point():
+    # the rank mod P falls short here; the exact echelon and the re-solve on
+    # all rows must not
+    g = CoeffPoly.symbol(0, 1)
+    one = CoeffPoly.one(1)
+    h = g - _generic_point(1)[0]
+    rows = [{0: h, 1: h}, {1: one, 2: one}]
+    assert sparse_rank_symbolic(rows) == 2
+    basis, forced = sparse_nullspace(rows, 3, 1)
+    assert forced == [] and basis == [[one, -one, one]]
+
+
+def test_in_span_rejects_a_vector_outside():
+    g = CoeffPoly.symbol(0, 1)
+    one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)
+    vectors = [[one, g, zero], [zero, one, g]]
+    assert in_span(vectors, [one, g + 1, g])
+    assert not in_span(vectors, [zero, zero, one])
+    assert not in_span(vectors, [one, zero, zero])
+
+
+@pytest.mark.parametrize("nsym", [1, 2])
+def test_sparse_nullspace_random_rows_against_oracle(nsym):
+    rng = random.Random(53 + nsym)
+    zero = CoeffPoly.zero(nsym)
+    dims = set()
+    for _ in range(12):
+        ncols = rng.randint(2, 7)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            row = [zero] * ncols
+            for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+                row[c] = rand_coeffpoly(rng, nsym, 2)
+            rows.append(row)
+        if len(rows) >= 2:      # a dependent row, so the rank falls short of the row count
+            a, b = rand_coeffpoly(rng, nsym, 1), rand_coeffpoly(rng, nsym, 1)
+            rows.append([a * p + b * q for p, q in zip(rows[0], rows[1])])
+        basis, _ = sparse_nullspace(sparse(rows), ncols, nsym)
+        for vec in basis:
+            assert all(p.is_zero() for p in matrix_apply(rows, vec))
+        points = [[Fraction(rng.randint(2, 40), rng.randint(1, 7)) for _ in range(nsym)]
+                  for _ in range(4)]
+        rank = max(rank_at_specialization(rows, vals) for vals in points)
+        assert len(basis) == ncols - rank
+        if basis:
+            assert max(rank_at_specialization(basis, vals) for vals in points) == len(basis)
+        dims.add(len(basis))
+    assert len(dims) > 1
 
 
 ROOTS_A2 = (
@@ -260,6 +405,14 @@ def test_locpoly_reflection_negates_own_root():
     fq = loc(XPoly.variable(0, 3, 1), {1: 1})
     gq = locpoly_apply_reflection(fq, S)
     assert gq == loc(XPoly.variable(1, 3, 1), {2: 1})
+
+
+def test_locpoly_zero_is_canonical():
+    f = loc(XPoly.one(3, 1), {0: 1})        # 1/(x1-x2)
+    zero = LocPoly.from_poly(XPoly.zero(3, 1), ROOTS_A2)
+    for z in (f.scaled(0), f * 0, 0 * f):
+        assert z == zero and z.den == {}
+        assert z.render(("g",)) == "0"
 
 
 def test_locpoly_arithmetic_closed_and_reduces():
