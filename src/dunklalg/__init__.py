@@ -33,7 +33,6 @@ from .coxeter import (
     MultiplicityMap,
     RootSystem,
     build_root_system,
-    ga_multiply,
     invariant_sum_S,
     load_root_system,
     s_pair,

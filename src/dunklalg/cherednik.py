@@ -374,7 +374,8 @@ def d_gen(ctx: CherednikContext, i: int) -> PBWElement:
     return PBWElement(ctx, {(ctx.zero_exp, ctx.e, _bump(ctx.zero_exp, i)): ctx.one})
 
 def group(ctx: CherednikContext, w: GroupElement) -> PBWElement:
-    w = ctx.rs.element(w.cols)
+    if w.rs is not ctx.rs:
+        raise ContextMismatch("group element from another root system")
     return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): ctx.one})
 
 def x_linear(ctx: CherednikContext, xi: Sequence) -> PBWElement:
@@ -543,7 +544,7 @@ def adjoint(p: PBWElement) -> PBWElement:
     ctx = p.ctx
     acc: dict[TermKey, CoeffPoly] = {}
     for (a, w, b), c in p.terms.items():
-        winv = ctx.rs.element(w.inverse().cols)
+        winv = w.inverse()
         sign = -1 if sum(b) % 2 else 1
         for f, b2 in ctx.act_exp(w, b):
             c0 = c * (sign * f)
@@ -563,7 +564,7 @@ def exchange_antiauto(p: PBWElement) -> PBWElement:
     ctx = p.ctx
     out: dict[TermKey, CoeffPoly] = {}
     for (a, w, b), c in p.terms.items():
-        key = (b, ctx.rs.element(w.inverse().cols), a)
+        key = (b, w.inverse(), a)
         prev = out.get(key)
         v = c if prev is None else prev + c
         if v.is_zero():

@@ -57,7 +57,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the report")
     parser.add_argument("--numeric-g", default=None, metavar="RATIONALS",
-                        help="comma-separated rational couplings (fast numeric mode)")
+                        help="comma-separated rational couplings (specialises the symbols)")
 
 
 def build_context(args) -> tuple[CherednikContext, str, int]:

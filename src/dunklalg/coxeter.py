@@ -1,9 +1,20 @@
 """Root systems, reflection-group elements, and group-algebra pairings.
 
 A RootSystem fixes a rational realization of the positive roots together
-with the orbit structure that labels the coupling symbols. GroupElements
-are rational orthogonal matrices, interned per root system; signed
-permutations (all of types A, B, D) get a fast action path.
+with the orbit structure that labels the coupling symbols.
+
+Each group element is created once per root system and never changes. An
+element of W is determined by how it permutes the +-roots, because W fixes the
+orthogonal complement of the root span pointwise (the representation CHEVIE
+uses). Every element carries, from its creation on, an integer id (its hash),
+that permutation, its matrix columns ``cols`` and, for signed permutations,
+``perm``/``signs``. A product of two elements of W is a tuple composition and
+one dict lookup; the matrix of an element is computed once, when the element is
+first reached. Equality is identity. Root-system automorphisms that move the
+complement, such as -1 in type A, lie outside W; they are interned by their
+columns and multiplied as matrices. Interning goes through
+``dict.setdefault`` and no element has a mutable cache, so sharing elements
+across threads is safe.
 
 The module also builds the group-algebra pairing S_{xi,eta} and the
 invariant sum S, which drive every deformed commutation relation upstream.
@@ -11,6 +22,7 @@ invariant sum S, which drive every deformed commutation relation upstream.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,17 +49,69 @@ def _as_vector(v: Iterable) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
-class GroupElement:
-    """Orthogonal group element, stored by the images of the basis vectors.
+def _apply_cols(cols: Sequence[Vector], vec: Sequence[Fraction]) -> Vector:
+    """sum_j vec_j cols[j], skipping zero entries of vec."""
+    out = [Fraction(0)] * len(cols)
+    for j, v in enumerate(vec):
+        if v:
+            for k, c in enumerate(cols[j]):
+                if c:
+                    out[k] += c * v
+    return tuple(out)
 
-    ``cols[j]`` is the image of e_j. The canonical key (and hash) is the
-    image tuple. ``perm``/``signs`` are set when the element is a signed
-    permutation, enabling monomial-to-monomial actions.
+
+def _transpose(cols: Sequence[Vector]) -> tuple[Vector, ...]:
+    """The inverse of an orthogonal matrix."""
+    return tuple(zip(*cols))
+
+
+def _orthogonal_complement(vectors: Sequence[Vector], n: int) -> tuple[Vector, ...]:
+    """A basis of the vectors in Q^n orthogonal to every given vector."""
+    rows = [list(v) for v in vectors]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+class GroupElement:
+    """A group element, created once by its RootSystem.
+
+    ``cols[j]`` is the image of e_j. ``roots`` is the permutation of the
+    +-roots (``roots[k]`` is the index of w(root k) in the root system's
+    signed-root list) when the element also fixes the complement of the root
+    span, as every element of W does; it is None otherwise. ``perm``/``signs``
+    are set when the element is a signed permutation, enabling
+    monomial-to-monomial actions.
     """
 
-    __slots__ = ("cols", "perm", "signs", "_hash", "_inv", "_mul")
+    __slots__ = ("id", "rs", "roots", "cols", "perm", "signs")
 
-    def __init__(self, cols: tuple[Vector, ...]):
+    def __init__(self, rs: RootSystem, ident: int, cols: tuple[Vector, ...],
+                 roots: tuple[int, ...] | None):
+        self.id = ident
+        self.rs = rs
+        self.roots = roots
         self.cols = cols
         perm: list[int] = []
         signs: list[Fraction] = []
@@ -62,28 +126,19 @@ class GroupElement:
                 break
         self.perm = tuple(perm) if ok else None
         self.signs = tuple(signs) if ok else None
-        self._hash = hash(cols)
-        self._inv = None
-        self._mul = {}
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.id
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.cols == other.cols
+        return self is other
 
     @property
     def n(self) -> int:
         return len(self.cols)
 
     def is_identity(self) -> bool:
-        if self.perm is None:
-            return False
-        return self.perm == tuple(range(self.n)) and all(s == 1 for s in self.signs)
+        return self is self.rs.identity
 
     def apply(self, vec: Sequence[Fraction]) -> Vector:
         """Image of a vector: w(v) = sum_j v_j w(e_j)."""
@@ -93,34 +148,26 @@ class GroupElement:
                 if v:
                     out[self.perm[j]] += self.signs[j] * v
             return tuple(out)
-        return tuple(sum((self.cols[j][k] * vec[j] for j in range(self.n)), Fraction(0))
-                     for k in range(self.n))
+        return _apply_cols(self.cols, vec)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (self*other)(v) = self(other(v))."""
-        cached = self._mul.get(other)
-        if cached is not None:
-            return cached
-        if self.perm is not None and other.perm is not None:
-            cols = []
-            for j in range(self.n):
-                k = other.perm[j]
-                img = [Fraction(0)] * self.n
-                img[self.perm[k]] = other.signs[j] * self.signs[k]
-                cols.append(tuple(img))
-        else:
-            cols = [self.apply(other.cols[j]) for j in range(self.n)]
-        result = GroupElement(tuple(cols))
-        self._mul[other] = result
-        return result
+        if self.roots is None or other.roots is None:
+            return self.rs.element(tuple(self.apply(col) for col in other.cols))
+        roots = tuple(map(self.roots.__getitem__, other.roots))
+        w = self.rs._by_roots.get(roots)
+        if w is None:
+            w = self.rs._intern(tuple(self.apply(col) for col in other.cols), roots)
+        return w
 
     def inverse(self) -> GroupElement:
-        if self._inv is None:
-            # orthogonal, so the inverse is the transpose
-            rows = tuple(tuple(self.cols[j][k] for j in range(self.n)) for k in range(self.n))
-            self._inv = GroupElement(rows)
-            self._inv._inv = self
-        return self._inv
+        if self.roots is None:
+            return self.rs.element(_transpose(self.cols))
+        roots = tuple(sorted(range(len(self.roots)), key=self.roots.__getitem__))
+        w = self.rs._by_roots.get(roots)
+        if w is None:
+            w = self.rs._intern(_transpose(self.cols), roots)
+        return w
 
     def image_key(self) -> tuple:
         """Compact serialization key: signed indices for signed permutations."""
@@ -153,66 +200,94 @@ class RootSystem:
             symbols = ("g",) if self.norbits <= 1 else tuple("g%d" % (i + 1) for i in range(self.norbits))
         self.symbols = tuple(symbols)
         self.group_cap = group_cap
-        self._interned: dict[tuple[Vector, ...], GroupElement] = {}
-        self._root_index: dict[Vector, tuple[int, int]] = {}
-        for i, r in enumerate(self.positive_roots):
-            self._root_index[r] = (i, 1)
-            self._root_index[tuple(-c for c in r)] = (i, -1)
+        self._check_roots()
+        # signed roots: k < m is positive root k, m + k is its negative
+        signed = self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
+        self._root_pos = {r: k for k, r in enumerate(signed)}
+        self._complement = _orthogonal_complement(self.positive_roots, rank)
+        self._ids = itertools.count()
+        self._by_roots: dict[tuple[int, ...], GroupElement] = {}
+        self._by_cols: dict[tuple[Vector, ...], GroupElement] = {}
         self._group: tuple[GroupElement, ...] | None = None
-        self._reflections: tuple[GroupElement, ...] | None = None
-        self.identity = self.element(tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for i in range(rank))
-            for j in range(rank)))
-        self._validate()
+        self.identity = self._intern(
+            tuple(tuple(Fraction(int(i == j)) for i in range(rank)) for j in range(rank)),
+            tuple(range(len(signed))))
+        self._reflections = tuple(self.element(self._reflection_cols(alpha))
+                                  for alpha in self.positive_roots)
+        self._check_closure()
 
-    # -- construction helpers ------------------------------------------------
+    # -- interning ------------------------------------------------------------
+
+    def _intern(self, cols: tuple[Vector, ...], roots: tuple[int, ...] | None) -> GroupElement:
+        """The one element with these columns. An element that fixes the
+        complement of the root span is keyed by ``roots``, anything else by
+        ``cols``; setdefault makes a racing creator get the element that won."""
+        w = GroupElement(self, next(self._ids), cols, roots)
+        if roots is not None:
+            w = self._by_roots.setdefault(roots, w)
+        return self._by_cols.setdefault(cols, w)
+
+    def _root_action(self, cols: tuple[Vector, ...]) -> tuple[int, ...] | None:
+        """Permutation of the +-roots under cols, or None when cols moves a
+        root off the root set or moves the complement of the root span."""
+        m = len(self.positive_roots)
+        images = []
+        for r in self.positive_roots:
+            k = self._root_pos.get(_apply_cols(cols, r))
+            if k is None:
+                return None
+            images.append(k)
+        if any(_apply_cols(cols, v) != v for v in self._complement):
+            return None
+        return tuple(images) + tuple(k + m if k < m else k - m for k in images)
 
     def element(self, cols: tuple[Vector, ...]) -> GroupElement:
-        w = self._interned.get(cols)
+        w = self._by_cols.get(cols)
         if w is None:
-            w = GroupElement(cols)
-            self._interned[cols] = w
+            w = self._intern(cols, self._root_action(cols))
         return w
 
-    def reflection(self, root_index: int) -> GroupElement:
-        alpha = self.positive_roots[root_index]
+    def _reflection_cols(self, alpha: Vector) -> tuple[Vector, ...]:
         aa = _dot(alpha, alpha)
         cols = []
         for j in range(self.rank):
-            e = [Fraction(1) if k == j else Fraction(0) for k in range(self.rank)]
             factor = 2 * alpha[j] / aa
-            col = tuple(e[k] - factor * alpha[k] for k in range(self.rank))
-            cols.append(col)
-        return self.element(tuple(cols))
+            cols.append(tuple(Fraction(int(k == j)) - factor * alpha[k] for k in range(self.rank)))
+        return tuple(cols)
+
+    def reflection(self, root_index: int) -> GroupElement:
+        return self._reflections[root_index]
 
     def reflections(self) -> tuple[GroupElement, ...]:
-        if self._reflections is None:
-            self._reflections = tuple(self.reflection(i) for i in range(len(self.positive_roots)))
         return self._reflections
 
     def find_root(self, vec: Sequence[Fraction]) -> tuple[int, int] | None:
-        return self._root_index.get(tuple(vec))
+        k = self._root_pos.get(tuple(vec))
+        if k is None:
+            return None
+        m = len(self.positive_roots)
+        return (k, 1) if k < m else (k - m, -1)
 
     def group(self) -> tuple[GroupElement, ...]:
-        """Enumerate W by breadth-first closure over the reflections."""
+        """Enumerate W by breadth-first search over the root permutations of
+        products with the reflections."""
         if self._group is None:
             gens = self.reflections()
-            seen = {self.identity.cols: self.identity}
+            seen = {self.identity: None}
             frontier = [self.identity]
             while frontier:
                 new = []
                 for w in frontier:
                     for s in gens:
                         nxt = w * s
-                        if nxt.cols not in seen:
-                            nxt = self.element(nxt.cols)
-                            seen[nxt.cols] = nxt
+                        if nxt not in seen:
+                            seen[nxt] = None
                             new.append(nxt)
                             if len(seen) > self.group_cap:
                                 raise InvalidRootSystem(
                                     "group enumeration exceeded the cap of %d" % self.group_cap)
                 frontier = new
-            self._group = tuple(seen.values())
+            self._group = tuple(seen)
         return self._group
 
     def order(self) -> int:
@@ -220,10 +295,11 @@ class RootSystem:
 
     # -- validation -----------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _check_roots(self) -> None:
         n = self.rank
         seen: set[Vector] = set()
-        for alpha in self.positive_roots:
+        directions: dict[Vector, int] = {}
+        for i, alpha in enumerate(self.positive_roots):
             if len(alpha) != n:
                 raise InvalidRootSystem("root has wrong length")
             if _dot(alpha, alpha) == 0:
@@ -234,19 +310,28 @@ class RootSystem:
             if neg in seen:
                 raise InvalidRootSystem("both alpha and -alpha stored")
             seen.add(alpha)
+            lead = next(c for c in alpha if c)
+            direction = tuple(c / lead for c in alpha)
+            if direction in directions:
+                raise InvalidRootSystem(
+                    "roots %d and %d are proportional" % (directions[direction], i))
+            directions[direction] = i
         if len(self.orbit_of) != len(self.positive_roots):
             raise InvalidRootSystem("orbit labels do not match the root list")
-        for i in range(len(self.positive_roots)):
-            s = self.reflection(i)
-            for j, beta in enumerate(self.positive_roots):
-                image = s.apply(beta)
-                hit = self.find_root(image)
-                if hit is None:
+
+    def _check_closure(self) -> None:
+        m = len(self.positive_roots)
+        for i, s in enumerate(self._reflections):
+            if s.roots is None:
+                j = next(j for j, beta in enumerate(self.positive_roots)
+                         if self.find_root(s.apply(beta)) is None)
+                raise InvalidRootSystem(
+                    "root set not closed under reflections: s_%d(root %d) is not a root" % (i, j))
+            for j in range(m):
+                k = s.roots[j] % m
+                if self.orbit_of[k] != self.orbit_of[j]:
                     raise InvalidRootSystem(
-                        "root set not closed under reflections: s_%d(root %d) is not a root" % (i, j))
-                if self.orbit_of[hit[0]] != self.orbit_of[j]:
-                    raise InvalidRootSystem(
-                        "orbit labels are not W-invariant: roots %d and %d" % (j, hit[0]))
+                        "orbit labels are not W-invariant: roots %d and %d" % (j, k))
 
     def __repr__(self) -> str:
         return "RootSystem(%s, rank=%d, %d positive roots)" % (self.label, self.rank, len(self.positive_roots))
@@ -294,18 +379,30 @@ def load_root_system(config: dict, group_cap: int = 10000) -> RootSystem:
     Expected fields: rank, roots (lists of rationals, "p/q" strings allowed),
     orbits (1-based orbit index per root), optional symbols, optional label.
     """
+    if not isinstance(config, dict):
+        raise InvalidRootSystem("malformed config: expected a JSON object, got %s"
+                                % type(config).__name__)
     try:
         rank = int(config["rank"])
         roots = [tuple(parse_rational(str(v)) for v in row) for row in config["roots"]]
         orbits_raw = [int(o) for o in config["orbits"]]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InvalidRootSystem("malformed config: %s" % exc) from None
     if orbits_raw and min(orbits_raw) == 1:
         orbits = [o - 1 for o in orbits_raw]
     else:
         orbits = orbits_raw
+    if any(o < 0 for o in orbits):
+        raise InvalidRootSystem("malformed config: negative orbit label")
     symbols = config.get("symbols")
+    norbits = max(orbits) + 1 if orbits else 0
+    if symbols is not None and not (isinstance(symbols, list) and len(symbols) == norbits
+                                    and all(isinstance(name, str) for name in symbols)):
+        raise InvalidRootSystem("malformed config: symbols must list %d names, one per orbit"
+                                % norbits)
     label = config.get("label", "custom")
+    if not isinstance(label, str):
+        raise InvalidRootSystem("malformed config: label must be a string")
     return RootSystem(rank, roots, orbits, label=label, symbols=symbols, group_cap=group_cap)
 
 
@@ -404,7 +501,7 @@ class GroupAlgebraElement:
             out: dict[GroupElement, CoeffPoly] = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = self.rs.element((w1 * w2).cols)
+                    w = w1 * w2
                     v = c1 * c2
                     prev = out.get(w)
                     v = v if prev is None else prev + v
@@ -429,11 +526,8 @@ class GroupAlgebraElement:
         winv = w.inverse()
         out = {}
         for u, c in self.terms.items():
-            out[self.rs.element((w * u * winv).cols)] = c
+            out[w * u * winv] = c
         return GroupAlgebraElement(self.rs, self.nsym, out)
-
-    def commutes_with(self, w: GroupElement) -> bool:
-        return self.conjugate(w).terms == self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
@@ -468,10 +562,6 @@ class GroupAlgebraElement:
 
     def __repr__(self) -> str:
         return "GroupAlgebraElement(%s)" % self.render()
-
-
-def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a * b
 
 
 def s_pair(xi: Sequence, eta: Sequence, rs: RootSystem, g: MultiplicityMap) -> GroupAlgebraElement:

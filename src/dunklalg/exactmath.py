@@ -28,8 +28,11 @@ class NotDivisible(ArithmeticError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p" or "p/q" into a Fraction; a zero q is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def format_rational(value: Fraction) -> str:

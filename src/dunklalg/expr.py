@@ -264,6 +264,8 @@ class _Parser:
                 kind2, val2, line2, col2 = self.advance()
                 if kind2 != "num":
                     raise ExprSyntaxError("found %r" % val2, line2, col2, "a denominator")
+                if int(val2) == 0:
+                    raise ExprSyntaxError("division by zero", line2, col2)
                 return RatLit(Fraction(num, int(val2)))
             return RatLit(Fraction(num))
         if val == "(":

@@ -462,7 +462,6 @@ class SubAlgebra:
         return None
 
     def _acc(self, out, pairs, tail, coeff):
-        tail = self.ctx.rs.element(tail.cols)
         key = (pairs, tail)
         prev = out.get(key)
         v = coeff if prev is None else prev + coeff
@@ -479,7 +478,7 @@ class SubAlgebra:
         base = self._straighten(word.pairs())
         out = {}
         for (bp, tail), c in base.items():
-            key = (bp, self.ctx.rs.element((tail * word.tail).cols))
+            key = (bp, tail * word.tail)
             prev = out.get(key)
             v = c if prev is None else prev + c
             if v.is_zero():
@@ -564,7 +563,7 @@ class SubElement:
                 c12 = c1 * c2
                 for (p2, cc) in alg.conj_pairs(w1.tail, w2.pairs()):
                     combined = SubWord(word_from_pairs(w1.pairs() + p2, alg.ctx.e).factors,
-                                       alg.ctx.rs.element((w1.tail * w2.tail).cols))
+                                       w1.tail * w2.tail)
                     nf = alg.normal_form_word(combined)
                     for (bp, tail), c3 in nf.items():
                         acc = acc + SubElement.of(alg, word_from_pairs(bp, tail), c12 * cc * c3)

@@ -174,3 +174,47 @@ def test_negative_degree_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--degree" in captured.err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # w(-2,-1) permutes the roots as the identity does, yet is not the identity
+    (["normal-form", 'w"-1,-2"*w"2,1"', "--group", "A", "--rank", "2"], "w(-2,-1)\n"),
+    (["normal-form", 'w"-1,-2"*w"-1,-2"', "--group", "A", "--rank", "2"], "1\n"),
+    (["normal-form", 'w"-1,-2"*D[1]*w"-2,-1"*x[2]', "--group", "A", "--rank", "2"],
+     "-x1*s(12)*D2 - g - s(12)\n"),
+    # a diagram automorphism of D4 outside W(D4)
+    (["normal-form", 'w"-1,2,3,4"*D[1]', "--group", "D", "--rank", "4"], "w(-1,2,3,4)*D1\n"),
+])
+def test_root_automorphisms_outside_w(capsys, argv, expected):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"rank": 1, "roots": [["1"], ["2"]], "orbits": [1, 1]},
+    {"rank": 2, "roots": 5, "orbits": [1]},
+    {"rank": 1, "roots": [["1"]], "orbits": [1], "symbols": ["g1", "g2"]},
+    {"rank": 1, "roots": [["1"]], "orbits": [1], "label": 5},
+    {"rank": 1, "roots": [["1"]], "orbits": [-1]},
+])
+def test_invalid_config_is_a_usage_error(tmp_path, capsys, config):
+    # a JSON list used to raise TypeError; proportional roots e1 and 2e1
+    # used to load and count the reflection s_e1 twice; a symbol list of the
+    # wrong length, a non-string label or a negative orbit crashed later, when used
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["normal-form", "D[1]*x[1]", "--group", "custom:%s" % path, "--rank", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_division_by_zero_is_a_parse_error(capsys):
+    code = main(["normal-form", "1/0", "--group", "A", "--rank", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")

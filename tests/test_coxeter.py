@@ -11,7 +11,6 @@ from dunklalg.coxeter import (
     MultiplicityMap,
     UnsupportedRank,
     build_root_system,
-    ga_multiply,
     invariant_sum_S,
     load_root_system,
     s_pair,
@@ -247,7 +246,7 @@ def test_invariant_sum_is_central():
         g = sym(rs)
         S = invariant_sum_S(rs, g)
         for w in rs.group():
-            assert S.commutes_with(w)
+            assert S.conjugate(w) == S
 
 
 def Sij(rs, g, i, j):
@@ -263,6 +262,6 @@ def test_ga_multiply_relations():
     s23 = Sij(rs, g, 1, 2)
     s11 = Sij(rs, g, 0, 0)
     s22 = Sij(rs, g, 1, 1)
-    assert ga_multiply(s12, s12) == GroupAlgebraElement.unit(rs, 1).scaled(g2)
-    assert ga_multiply(s12, s13) == ga_multiply(s23, s12)
-    assert ga_multiply(s12, s22) == ga_multiply(s11, s12)
+    assert s12 * s12 == GroupAlgebraElement.unit(rs, 1).scaled(g2)
+    assert s12 * s13 == s23 * s12
+    assert s12 * s22 == s11 * s12
