@@ -1,7 +1,9 @@
 """Exact symbolic engine for Dunkl angular momenta algebras.
 
 Modules:
-  exactmath   scalar/polynomial/linear-algebra substrate over Q[g1..gk]
+  exactmath   scalar/polynomial/linear-algebra substrate over Q[g1..gk], and
+              add_term/render_terms, which every linear-combination type
+              uses to accumulate and to print its terms
   coxeter     root systems, reflection groups, group-algebra pairings
   cherednik   PBW rewriting engine for the rational Cherednik algebra
   polyrep     faithful polynomial representation (the evaluation oracle)
@@ -23,7 +25,6 @@ from .cherednik import (
     gamma_pm,
     hamiltonian_H,
     m_squared,
-    multiply,
     pfaffian_sum,
     rho,
 )
@@ -43,7 +44,6 @@ from .exactmath import (
     NotDivisible,
     Rat,
     XPoly,
-    locpoly_apply_reflection,
     poly_divide_exact,
 )
 from .expr import evaluate, parse_expression, print_expression
@@ -58,7 +58,6 @@ from .subalgebra import (
     normal_form_gl,
     normal_form_so,
     pbw_rank_check,
-    verify_relation_suite,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
-from .exactmath import CoeffPoly, grevlex_key
+from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms
 
 _F1 = Fraction(1)
 
@@ -150,22 +150,9 @@ class CherednikContext:
                     # the surviving D_i still has to cross u
                     for f, db in self.act_exp(u.inverse(), _bump(self.zero_exp, i)):
                         bout = tuple(x + y for x, y in zip(db, beta))
-                        k2 = (a2, w, bout)
-                        prev = acc.get(k2)
-                        v = cc * f if f != 1 else cc
-                        v = v if prev is None else prev + v
-                        if v.is_zero():
-                            acc.pop(k2, None)
-                        else:
-                            acc[k2] = v
+                        add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
                 else:
-                    k2 = (a2, w, beta)
-                    prev = acc.get(k2)
-                    v = cc if prev is None else prev + cc
-                    if v.is_zero():
-                        acc.pop(k2, None)
-                    else:
-                        acc[k2] = v
+                    add_term(acc, (a2, w, beta), cc)
         cached = tuple((v, a, w, bb) for (a, w, bb), v in acc.items())
         self._dbx[key] = cached
         return cached
@@ -199,18 +186,6 @@ class PBWElement:
     def zero(ctx: CherednikContext) -> PBWElement:
         return PBWElement(ctx)
 
-    @staticmethod
-    def from_terms(ctx: CherednikContext, items) -> PBWElement:
-        terms: dict[TermKey, CoeffPoly] = {}
-        for key, c in items:
-            prev = terms.get(key)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = v
-        return PBWElement(ctx, terms)
-
     def _check(self, other: PBWElement) -> None:
         if self.ctx is not other.ctx:
             raise ContextMismatch("operands from different algebra contexts")
@@ -219,12 +194,7 @@ class PBWElement:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            add_term(out, key, c)
         return PBWElement(self.ctx, out)
 
     def __neg__(self) -> PBWElement:
@@ -242,13 +212,7 @@ class PBWElement:
                 for (a2, w2, b2), c2 in other.terms.items():
                     c12 = c1 * c2
                     for key, c in ctx.term_mul(a1, w1, b1, a2, w2, b2):
-                        prev = acc.get(key)
-                        v = c12 * c
-                        v = v if prev is None else prev + v
-                        if v.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = v
+                        add_term(acc, key, c12 * c)
             return PBWElement(ctx, acc)
         return self.scaled(other)
 
@@ -262,6 +226,8 @@ class PBWElement:
         return PBWElement(self.ctx, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> PBWElement:
+        if n < 0:
+            raise ValueError("negative power")
         out = one(self.ctx)
         for _ in range(n):
             out = out * self
@@ -316,39 +282,16 @@ class PBWElement:
         return w.render()
 
     def canonical_str(self) -> str:
-        if not self.terms:
-            return "0"
         names = self.ctx.rs.symbols
-        parts = []
-        for key in sorted(self.terms, key=self._term_sort_key):
-            a, w, b = key
-            factors = []
-            for i, p in enumerate(a):
-                if p == 1:
-                    factors.append("x%d" % (i + 1))
-                elif p > 1:
-                    factors.append("x%d^%d" % (i + 1, p))
-            wtag = self._render_group(w)
-            if wtag:
-                factors.append(wtag)
-            for i, p in enumerate(b):
-                if p == 1:
-                    factors.append("D%d" % (i + 1))
-                elif p > 1:
-                    factors.append("D%d^%d" % (i + 1, p))
-            c = self.terms[key].render_atom(names)
-            if not factors:
-                parts.append(c)
-            elif c == "1":
-                parts.append("*".join(factors))
-            elif c == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(c + "*" + "*".join(factors))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        xs = ["x%d" % (i + 1) for i in range(self.ctx.n)]
+        ds = ["D%d" % (i + 1) for i in range(self.ctx.n)]
+
+        def body(a, w, b) -> str:
+            factors = (render_monomial(a, xs), self._render_group(w), render_monomial(b, ds))
+            return "*".join(f for f in factors if f) or "1"
+
+        return render_terms((self.terms[key].render_atom(names), body(*key))
+                            for key in sorted(self.terms, key=self._term_sort_key))
 
     def __repr__(self) -> str:
         return "PBWElement(%s)" % self.canonical_str()
@@ -378,29 +321,9 @@ def group(ctx: CherednikContext, w: GroupElement) -> PBWElement:
         raise ContextMismatch("group element from another root system")
     return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): ctx.one})
 
-def x_linear(ctx: CherednikContext, xi: Sequence) -> PBWElement:
-    terms = {}
-    for i, v in enumerate(xi):
-        v = Fraction(v)
-        if v:
-            terms[(_bump(ctx.zero_exp, i), ctx.e, ctx.zero_exp)] = CoeffPoly.const(v, ctx.nsym)
-    return PBWElement(ctx, terms)
-
-def d_linear(ctx: CherednikContext, xi: Sequence) -> PBWElement:
-    terms = {}
-    for i, v in enumerate(xi):
-        v = Fraction(v)
-        if v:
-            terms[(ctx.zero_exp, ctx.e, _bump(ctx.zero_exp, i))] = CoeffPoly.const(v, ctx.nsym)
-    return PBWElement(ctx, terms)
-
 def s_elem(ctx: CherednikContext, i: int, j: int) -> PBWElement:
     """S_{e_i e_j} as an element of the algebra."""
     return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ctx.s_terms(i, j)})
-
-def s_vec(ctx: CherednikContext, xi: Sequence, eta: Sequence) -> PBWElement:
-    ga = s_pair(xi, eta, ctx.rs, ctx.gmap)
-    return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ga.terms.items()})
 
 def s_sum(ctx: CherednikContext) -> PBWElement:
     key = "s_sum"
@@ -411,9 +334,6 @@ def s_sum(ctx: CherednikContext) -> PBWElement:
         ctx._named[key] = cached
     return cached
 
-
-def multiply(p: PBWElement, q: PBWElement) -> PBWElement:
-    return p * q
 
 def commutator(p: PBWElement, q: PBWElement) -> PBWElement:
     return p * q - q * p
@@ -431,14 +351,8 @@ def angular_momentum(ctx: CherednikContext, xi: Sequence, eta: Sequence) -> PBWE
         for j, b in enumerate(eta):
             c = a * b - (eta[i] * xi[j])
             if c:
-                key = (_bump(ctx.zero_exp, i), ctx.e, _bump(ctx.zero_exp, j))
-                prev = terms.get(key)
-                v = CoeffPoly.const(c, ctx.nsym)
-                v = v if prev is None else prev + v
-                if v.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = v
+                add_term(terms, (_bump(ctx.zero_exp, i), ctx.e, _bump(ctx.zero_exp, j)),
+                         CoeffPoly.const(c, ctx.nsym))
     return PBWElement(ctx, terms)
 
 
@@ -549,13 +463,7 @@ def adjoint(p: PBWElement) -> PBWElement:
         for f, b2 in ctx.act_exp(w, b):
             c0 = c * (sign * f)
             for key, c2 in ctx.term_mul(ctx.zero_exp, winv, b2, a, ctx.e, ctx.zero_exp):
-                prev = acc.get(key)
-                v = c0 * c2
-                v = v if prev is None else prev + v
-                if v.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
+                add_term(acc, key, c0 * c2)
     return PBWElement(ctx, acc)
 
 
@@ -564,13 +472,7 @@ def exchange_antiauto(p: PBWElement) -> PBWElement:
     ctx = p.ctx
     out: dict[TermKey, CoeffPoly] = {}
     for (a, w, b), c in p.terms.items():
-        key = (b, w.inverse(), a)
-        prev = out.get(key)
-        v = c if prev is None else prev + c
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
+        add_term(out, (b, w.inverse(), a), c)
     return PBWElement(ctx, out)
 
 
@@ -604,15 +506,3 @@ def _perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def is_zero(p: PBWElement) -> bool:
-    return p.is_zero()
-
-
-def filtration_degree(p: PBWElement) -> int:
-    return p.filtration_degree()
-
-
-def leading_part(p: PBWElement) -> PBWElement:
-    return p.leading_part()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactmath import CoeffPoly, format_rational, parse_rational
+from .exactmath import CoeffPoly, add_term, format_rational, parse_rational, render_terms
 
 Vector = tuple[Fraction, ...]
 
@@ -197,7 +197,7 @@ class RootSystem:
         self.label = label
         self.norbits = (max(orbit_of) + 1) if orbit_of else 0
         if symbols is None:
-            symbols = ("g",) if self.norbits <= 1 else tuple("g%d" % (i + 1) for i in range(self.norbits))
+            symbols = ("g",) if self.norbits == 1 else tuple("g%d" % (i + 1) for i in range(self.norbits))
         self.symbols = tuple(symbols)
         self.group_cap = group_cap
         self._check_roots()
@@ -481,12 +481,7 @@ class GroupAlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
+            add_term(out, w, c)
         return GroupAlgebraElement(self.rs, self.nsym, out)
 
     def __neg__(self) -> GroupAlgebraElement:
@@ -501,14 +496,7 @@ class GroupAlgebraElement:
             out: dict[GroupElement, CoeffPoly] = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = w1 * w2
-                    v = c1 * c2
-                    prev = out.get(w)
-                    v = v if prev is None else prev + v
-                    if v.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = v
+                    add_term(out, w1 * w2, c1 * c2)
             return GroupAlgebraElement(self.rs, self.nsym, out)
         return self.scaled(other)
 
@@ -540,25 +528,9 @@ class GroupAlgebraElement:
         return not self.terms
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda w: w.image_key())
-        parts = []
-        for w in keys:
-            c = self.terms[w].render_atom(self.rs.symbols)
-            tag = "1" if w.is_identity() else w.render()
-            if tag == "1":
-                parts.append(c)
-            elif c == "1":
-                parts.append(tag)
-            elif c == "-1":
-                parts.append("-" + tag)
-            else:
-                parts.append(c + "*" + tag)
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return render_terms((self.terms[w].render_atom(self.rs.symbols),
+                             "1" if w.is_identity() else w.render())
+                            for w in sorted(self.terms, key=lambda w: w.image_key()))
 
     def __repr__(self) -> str:
         return "GroupAlgebraElement(%s)" % self.render()
@@ -584,14 +556,7 @@ def s_pair(xi: Sequence, eta: Sequence, rs: RootSystem, g: MultiplicityMap) -> G
         aeta = _dot(alpha, eta)
         if not aeta:
             continue
-        coeff = g.of_root(rs, i) * (2 * axi * aeta / _dot(alpha, alpha))
-        s = rs.reflection(i)
-        prev = terms.get(s)
-        v = coeff if prev is None else prev + coeff
-        if v.is_zero():
-            terms.pop(s, None)
-        else:
-            terms[s] = v
+        add_term(terms, rs.reflection(i), g.of_root(rs, i) * (2 * axi * aeta / _dot(alpha, alpha)))
     return GroupAlgebraElement(rs, nsym, terms)
 
 
@@ -599,12 +564,5 @@ def invariant_sum_S(rs: RootSystem, g: MultiplicityMap) -> GroupAlgebraElement:
     """S = -sum_{alpha > 0} g_alpha s_alpha, central in the group algebra."""
     terms: dict[GroupElement, CoeffPoly] = {}
     for i in range(len(rs.positive_roots)):
-        s = rs.reflection(i)
-        coeff = -g.of_root(rs, i)
-        prev = terms.get(s)
-        v = coeff if prev is None else prev + coeff
-        if v.is_zero():
-            terms.pop(s, None)
-        else:
-            terms[s] = v
+        add_term(terms, rs.reflection(i), -g.of_root(rs, i))
     return GroupAlgebraElement(rs, g.nsym, terms)

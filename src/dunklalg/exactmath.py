@@ -46,6 +46,55 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
+def add_term(acc: dict, key, value) -> None:
+    """acc[key] += value in a sparse linear combination that stores no zero:
+    a sum that cancels deletes the key, so a key that comes back later is
+    inserted again at the end of acc."""
+    prev = acc.get(key)
+    if prev is not None:
+        value = prev + value
+    if value:
+        acc[key] = value
+    elif prev is not None:
+        del acc[key]
+
+
+def render_terms(terms: Iterable[tuple[str, str]]) -> str:
+    """A linear combination as text, from (coefficient, body) pairs in order.
+
+    The body "1" is the unit and shows only its coefficient; a coefficient
+    "1" or "-1" in front of another body shows as nothing or a sign.
+    """
+    text = ""
+    for coeff, body in terms:
+        if body == "1":
+            part = coeff
+        elif coeff == "1":
+            part = body
+        elif coeff == "-1":
+            part = "-" + body
+        else:
+            part = coeff + "*" + body
+        if not text:
+            text = part
+        elif part.startswith("-"):
+            text += " - " + part[1:]
+        else:
+            text += " + " + part
+    return text or "0"
+
+
+def render_monomial(exp: Sequence[int], names: Sequence[str]) -> str:
+    """The factors names[i]^exp[i] joined by "*"; empty for exponent zero."""
+    factors = []
+    for name, p in zip(names, exp):
+        if p == 1:
+            factors.append(name)
+        elif p > 1:
+            factors.append("%s^%d" % (name, p))
+    return "*".join(factors)
+
+
 def _add_scaled(acc: dict, terms: dict, r) -> None:
     """acc += r * terms on raw coefficient maps; r is the int 1 or -1 on the
     fast path (no product is formed), else a Fraction. Zeros may remain."""
@@ -132,11 +181,7 @@ class CoeffPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, _F0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            add_term(out, e, c)
         return CoeffPoly(self.nsym, out)
 
     __radd__ = __add__
@@ -163,12 +208,7 @@ class CoeffPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(key, _F0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+                add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return CoeffPoly(self.nsym, out)
 
     __rmul__ = __mul__
@@ -189,6 +229,9 @@ class CoeffPoly:
         return self.nsym == other.nsym and self.terms == other.terms
 
     __hash__ = None  # mutable payload; use key() when a hashable id is needed
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def key(self) -> tuple:
         return (self.nsym, tuple(sorted(self.terms.items())))
@@ -223,15 +266,10 @@ class CoeffPoly:
             if any(e < 0 for e in m):
                 raise NotDivisible("coupling polynomial division is not exact")
             c = rem[re] / qc
-            out[m] = out.get(m, _F0) + c
+            add_term(out, m, c)
             for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(m, e2))
-                v = rem.get(key, _F0) - c * c2
-                if v:
-                    rem[key] = v
-                else:
-                    rem.pop(key, None)
-        return CoeffPoly(self.nsym, {e: c for e, c in out.items() if c})
+                add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
+        return CoeffPoly(self.nsym, out)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of the coefficients)."""
@@ -267,29 +305,8 @@ class CoeffPoly:
     # -- rendering ----------------------------------------------------------
 
     def render(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for i, p in enumerate(e):
-                if p == 1:
-                    factors.append(names[i])
-                elif p > 1:
-                    factors.append("%s^%d" % (names[i], p))
-            if not factors:
-                parts.append(format_rational(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(format_rational(c) + "*" + "*".join(factors))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return render_terms((format_rational(self.terms[e]), render_monomial(e, names) or "1")
+                            for e in sorted(self.terms, key=grevlex_key, reverse=True))
 
     def render_atom(self, names: Sequence[str]) -> str:
         """Render for use as a multiplicative prefix (parenthesized if a sum)."""
@@ -413,12 +430,7 @@ class XPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = v
+            add_term(out, e, c)
         return XPoly(self.nvars, self.nsym, out)
 
     def __neg__(self) -> XPoly:
@@ -433,14 +445,7 @@ class XPoly:
             out: dict[tuple[int, ...], CoeffPoly] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    v = c1 * c2
-                    prev = out.get(key)
-                    v = v if prev is None else prev + v
-                    if v.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+                    add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             return XPoly(self.nvars, self.nsym, out)
         return self.scaled(other)
 
@@ -454,6 +459,8 @@ class XPoly:
         return XPoly(self.nvars, self.nsym, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> XPoly:
+        if n < 0:
+            raise ValueError("negative power")
         out = XPoly.one(self.nvars, self.nsym)
         for _ in range(n):
             out = out * self
@@ -478,14 +485,7 @@ class XPoly:
         out = {}
         for e, c in self.terms.items():
             if e[i]:
-                key = tuple(p - 1 if j == i else p for j, p in enumerate(e))
-                v = c * e[i]
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if not v.is_zero():
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                add_term(out, tuple(p - 1 if j == i else p for j, p in enumerate(e)), c * e[i])
         return XPoly(self.nvars, self.nsym, out)
 
     def derivative_dir(self, vec: Sequence[Fraction]) -> XPoly:
@@ -523,14 +523,7 @@ class XPoly:
                     new[perm[i]] = p
                     if signs[i] != 1 and p % 2:
                         sign = -sign
-            key = tuple(new)
-            v = c if sign == 1 else c * sign
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            add_term(out, tuple(new), c if sign == 1 else c * sign)
         return XPoly(self.nvars, self.nsym, out)
 
     def try_divide(self, q: XPoly) -> XPoly | None:
@@ -553,15 +546,10 @@ class XPoly:
                 c = rem[re].divexact(qc)
             except NotDivisible:
                 return None
-            out[m] = out.get(m, CoeffPoly.zero(self.nsym)) + c
+            add_term(out, m, c)
             for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(m, e2))
-                v = rem.get(key, CoeffPoly.zero(self.nsym)) - c * c2
-                if v.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = v
-        return XPoly(self.nvars, self.nsym, {e: c for e, c in out.items() if not c.is_zero()})
+                add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
+        return XPoly(self.nvars, self.nsym, out)
 
     def mul_linear(self, vec: Sequence[Fraction]) -> XPoly:
         """Product with the linear form (vec, x): one exponent shift per
@@ -618,30 +606,10 @@ class XPoly:
         return XPoly(self.nvars, self.nsym, _coeff_polys(out, self.nsym))
 
     def render(self, symbol_names: Sequence[str], var: str = "x") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
-            factors = []
-            for i, p in enumerate(e):
-                if p == 1:
-                    factors.append("%s%d" % (var, i + 1))
-                elif p > 1:
-                    factors.append("%s%d^%d" % (var, i + 1, p))
-            c = self.terms[e]
-            cs = c.render_atom(symbol_names)
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(cs + "*" + "*".join(factors))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        names = ["%s%d" % (var, i + 1) for i in range(self.nvars)]
+        return render_terms((self.terms[e].render_atom(symbol_names),
+                             render_monomial(e, names) or "1")
+                            for e in sorted(self.terms, key=grevlex_key, reverse=True))
 
     def __repr__(self) -> str:
         return "XPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.nsym)))
@@ -829,11 +797,6 @@ class LocPoly:
         return "LocPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.num.nsym)))
 
 
-def locpoly_apply_reflection(f: LocPoly, s) -> LocPoly:
-    """Act by a group element on a localized polynomial."""
-    return f.apply_linear(s.cols, s.perm, s.signs)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over Q(g1..gk): a modular certificate and an exact echelon
 # ---------------------------------------------------------------------------
@@ -975,16 +938,10 @@ def _sparse_echelon(rows: Iterable[dict[int, CoeffPoly]]) -> dict[int, dict[int,
             if pr is None:
                 pivots[c] = row
                 break
-            f1, f2 = pr[c], row[c]
+            f1, f2 = pr[c], -row[c]
             new = {k: f1 * v for k, v in row.items()}
             for k, v in pr.items():
-                prev = new.get(k)
-                t = f2 * v
-                t = -t if prev is None else prev - t
-                if t.is_zero():
-                    new.pop(k, None)
-                else:
-                    new[k] = t
+                add_term(new, k, f2 * v)
             row = _normalize_sparse_row(new)
     return pivots
 

@@ -526,9 +526,10 @@ class SubEvaluator:
         if isinstance(node, Neg):
             return -self.eval(node.operand)
         if isinstance(node, Pow):
+            base = self.eval(node.base)
             out = self.scalar(1)
             for _ in range(node.exponent):
-                out = out * self.eval(node.base)
+                out = out * base
             return out
         if isinstance(node, Com):
             a, b = self.eval(node.left), self.eval(node.right)
@@ -548,18 +549,12 @@ class SubEvaluator:
             if node.name == "Ssum":
                 from .coxeter import invariant_sum_S
                 ga = invariant_sum_S(ctx.rs, ctx.gmap)
-                acc = SubElement(self.alg)
-                for w, c in ga.terms.items():
-                    acc = acc + SubElement.of(self.alg, SubWord((), w), c)
-                return acc
+                return SubElement(self.alg, {SubWord((), w): c for w, c in ga.terms.items()})
             if node.name == "HOmega" and self.family == "so":
                 return h_omega_subelement(self.alg)
             if node.name == "Msq" and self.family == "so":
-                acc = SubElement(self.alg)
-                for i in range(ctx.n):
-                    for j in range(i + 1, ctx.n):
-                        acc = acc + SubElement.of(self.alg, SubWord(((i, j, 2),), ctx.e))
-                return acc
+                return SubElement(self.alg, {SubWord(((i, j, 2),), ctx.e): ctx.one
+                                             for i in range(ctx.n) for j in range(i + 1, ctx.n)})
             if node.name == "rho" and self.family == "gl":
                 return rho_subelement(self.alg)
             raise EvalError("%s is not an element of the %s subalgebra" % (node.name, self.family))
@@ -580,10 +575,7 @@ class SubEvaluator:
                         - SubElement.of(self.alg, word_from_pairs(((j, i),), ctx.e)))
             if node.kind == "S":
                 i, j = (_check_index(ctx, v) for v in node.indices)
-                acc = SubElement(self.alg)
-                for w, c in ctx.s_terms(i, j):
-                    acc = acc + SubElement.of(self.alg, SubWord((), w), c)
-                return acc
+                return SubElement(self.alg, {SubWord((), w): c for w, c in ctx.s_terms(i, j)})
             if node.kind == "s":
                 if len(node.indices) == 1:
                     return self._group_word(_reflection_by_root(ctx, node.indices[0]))

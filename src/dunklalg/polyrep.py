@@ -294,8 +294,10 @@ def restrict_check(ctx: DunklContext, degree_bound: int) -> CheckResult:
     scalar Calogero-Moser operators, and S acts by -+ g N(N-1)/2 (type A)."""
     if not ctx.rs.label.startswith("A"):
         raise WrongRootSystem("restriction checks are defined for type A")
-    result = CheckResult("restriction")
     n = ctx.n
+    if n < 2:
+        raise WrongRootSystem("restriction checks need N >= 2")
+    result = CheckResult("restriction")
     g = ctx.gmap.of_orbit(0)
     scal = g * Fraction(n * (n - 1), 2)
     vdm = vandermonde(ctx)

@@ -40,9 +40,6 @@ class Report:
     def status(self) -> str:
         return "pass" if all(r.passed for r in self.results) else "fail"
 
-    def add(self, result: CheckResult) -> None:
-        self.results.append(result)
-
     def counts(self) -> dict:
         return {r.name: r.instances for r in self.results}
 

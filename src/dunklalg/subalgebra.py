@@ -40,6 +40,8 @@ from .cherednik import (
 from .coxeter import GroupElement, invariant_sum_S
 from .exactmath import (
     CoeffPoly,
+    add_term,
+    render_terms,
     sparse_nullspace,
     sparse_rank_numeric,
     sparse_rank_symbolic,
@@ -117,9 +119,6 @@ class ArcDiagram:
 
     def is_noncrossing(self) -> bool:
         return self.crossing_count() == 0
-
-    def arc_length_sum(self) -> int:
-        return sum(j - i for (i, j) in self.arcs)
 
 
 def _arcs_cross(u: Pair, v: Pair) -> bool:
@@ -434,14 +433,13 @@ class SubAlgebra:
 
         for (top, c) in tops:
             if self._is_basis(top):
-                self._acc(out, top, self.ctx.e, c)
+                add_term(out, (top, self.ctx.e), c)
             else:
                 for (bp, tail), c2 in self._straighten(top).items():
-                    self._acc(out, bp, tail, c * c2)
+                    add_term(out, (bp, tail), c * c2)
         for (pw, w, c) in pending:
             for (bp, tail), c2 in self._straighten(pw).items():
-                self._acc(out, bp, tail * w, c * c2)
-        out = {k: v for k, v in out.items() if not v.is_zero()}
+                add_term(out, (bp, tail * w), c * c2)
         self._memo[pairs] = out
         return out
 
@@ -461,15 +459,6 @@ class SubAlgebra:
                 return r
         return None
 
-    def _acc(self, out, pairs, tail, coeff):
-        key = (pairs, tail)
-        prev = out.get(key)
-        v = coeff if prev is None else prev + coeff
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
-
     # -- public word/element operations -----------------------------------------
 
     def normal_form_word(self, word: SubWord):
@@ -478,13 +467,7 @@ class SubAlgebra:
         base = self._straighten(word.pairs())
         out = {}
         for (bp, tail), c in base.items():
-            key = (bp, tail * word.tail)
-            prev = out.get(key)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            add_term(out, (bp, tail * word.tail), c)
         return out
 
     def embed_word(self, word: SubWord) -> PBWElement:
@@ -532,12 +515,7 @@ class SubElement:
         self._check(other)
         out = dict(self.terms)
         for word, c in other.terms.items():
-            prev = out.get(word)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = v
+            add_term(out, word, c)
         return SubElement(self.alg, out)
 
     def __neg__(self) -> SubElement:
@@ -557,7 +535,7 @@ class SubElement:
         """Product followed by straightening to the basis."""
         self._check(other)
         alg = self.alg
-        acc = SubElement(alg)
+        terms: dict[SubWord, CoeffPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c12 = c1 * c2
@@ -566,15 +544,15 @@ class SubElement:
                                        w1.tail * w2.tail)
                     nf = alg.normal_form_word(combined)
                     for (bp, tail), c3 in nf.items():
-                        acc = acc + SubElement.of(alg, word_from_pairs(bp, tail), c12 * cc * c3)
-        return acc
+                        add_term(terms, word_from_pairs(bp, tail), c12 * cc * c3)
+        return SubElement(alg, terms)
 
     def normal_form(self) -> SubElement:
-        acc = SubElement(self.alg)
+        terms: dict[SubWord, CoeffPoly] = {}
         for word, c in self.terms.items():
             for (bp, tail), c2 in self.alg.normal_form_word(word).items():
-                acc = acc + SubElement.of(self.alg, word_from_pairs(bp, tail), c * c2)
-        return acc
+                add_term(terms, word_from_pairs(bp, tail), c * c2)
+        return SubElement(self.alg, terms)
 
     def embed(self) -> PBWElement:
         acc = zero(self.alg.ctx)
@@ -596,24 +574,9 @@ class SubElement:
     __hash__ = None
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=SubWord.sort_key):
-            c = self.terms[word].render_atom(self.alg.ctx.rs.symbols)
-            body = word.render(self.alg.family)
-            if body == "1":
-                parts.append(c)
-            elif c == "1":
-                parts.append(body)
-            elif c == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append(c + "*" + body)
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        names = self.alg.ctx.rs.symbols
+        return render_terms((self.terms[word].render_atom(names), word.render(self.alg.family))
+                            for word in sorted(self.terms, key=SubWord.sort_key))
 
     def __repr__(self) -> str:
         return "SubElement(%s)" % self.render()
@@ -655,28 +618,28 @@ def normal_form_gl(e: SubElement) -> SubElement:
 def h_omega_subelement(alg: SubAlgebra) -> SubElement:
     """H_Omega written directly over basis words (so family)."""
     ctx = alg.ctx
-    acc = SubElement(alg)
+    terms: dict[SubWord, CoeffPoly] = {}
     half = Fraction(-1, 2)
     for i in range(ctx.n):
         for j in range(i + 1, ctx.n):
-            acc = acc + SubElement.of(alg, SubWord(((i, j, 2),), ctx.e), ctx.one * half)
+            add_term(terms, SubWord(((i, j, 2),), ctx.e), ctx.one * half)
     ga = invariant_sum_S(ctx.rs, ctx.gmap)
     shifted = ga * ga - ga.scaled(ctx.n - 2)
     for w, c in shifted.terms.items():
-        acc = acc + SubElement.of(alg, SubWord((), w), c * Fraction(1, 2))
-    return acc
+        add_term(terms, SubWord((), w), c * Fraction(1, 2))
+    return SubElement(alg, terms)
 
 
 def rho_subelement(alg: SubAlgebra) -> SubElement:
     """rho = sum_i E_ii - S over basis words (gl family)."""
     ctx = alg.ctx
-    acc = SubElement(alg)
+    terms: dict[SubWord, CoeffPoly] = {}
     for i in range(ctx.n):
-        acc = acc + SubElement.of(alg, SubWord(((i, i, 1),), ctx.e), ctx.one)
+        add_term(terms, SubWord(((i, i, 1),), ctx.e), ctx.one)
     ga = invariant_sum_S(ctx.rs, ctx.gmap)
     for w, c in ga.terms.items():
-        acc = acc + SubElement.of(alg, SubWord((), w), -c)
-    return acc
+        add_term(terms, SubWord((), w), -c)
+    return SubElement(alg, terms)
 
 
 def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
@@ -684,7 +647,7 @@ def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
     ctx = alg.ctx
     n = ctx.n
     grp = ctx.rs.group()
-    acc = SubElement(alg)
+    terms: dict[SubWord, CoeffPoly] = {}
     for _ in range(rng.randint(1, nwords)):
         deg = rng.randint(0, max_degree)
         pairs = []
@@ -699,8 +662,8 @@ def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
         tail = grp[rng.randrange(len(grp))]
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if c:
-            acc = acc + SubElement.of(alg, word_from_pairs(tuple(pairs), tail), ctx.one * c)
-    return acc
+            add_term(terms, word_from_pairs(tuple(pairs), tail), ctx.one * c)
+    return SubElement(alg, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +749,9 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
             for key, coeff in com.terms.items():
                 rows_by_key.setdefault((c_idx, key), {})[u_idx] = coeff
     basis_vectors, _ = sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)
-    solutions = []
-    for vec in basis_vectors:
-        acc = SubElement(alg)
-        for idx, c in enumerate(vec):
-            if not c.is_zero():
-                acc = acc + SubElement.of(alg, unknowns[idx], c)
-        solutions.append(acc)
+    # the unknowns are distinct words, so no two coordinates share a key
+    solutions = [SubElement(alg, {unknowns[idx]: c for idx, c in enumerate(vec) if c})
+                 for vec in basis_vectors]
     return solutions, {"unknowns": unknowns, "vectors": basis_vectors}
 
 
@@ -813,15 +772,3 @@ def in_span(vectors: Sequence[Sequence[CoeffPoly]], candidate: Sequence[CoeffPol
     base_rank = sparse_rank_symbolic(rows)
     rows.append({i: c for i, c in enumerate(candidate) if not c.is_zero()})
     return sparse_rank_symbolic(rows) == base_rank
-
-
-def verify_relation_suite(family: str, ctx: CherednikContext) -> list[CheckResult]:
-    """Exhaustive relation checks for one family; see the suites module."""
-    from . import suites
-    if family == "so":
-        return suites.relations_so(ctx)
-    if family == "gl":
-        return suites.relations_gl(ctx)
-    if family == "coxeter":
-        return suites.coxeter_general(ctx)
-    raise ValueError("unknown family %r" % family)

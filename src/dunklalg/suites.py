@@ -54,46 +54,34 @@ def _is_type_a(ctx: CherednikContext) -> bool:
 
 
 class _Products:
-    """Per-run cache of M_ab * M_cd and M_ab * S_cd normal forms."""
+    """Per-run cache of the normal forms G_ab G_cd, G_ab S_cd and S_ab G_cd,
+    where G_ab = gen(ctx, a, b) is M_ab (so relations) or E_ab (gl)."""
 
-    def __init__(self, ctx: CherednikContext):
+    def __init__(self, ctx: CherednikContext, gen):
         self.ctx = ctx
-        self._mm = {}
-        self._ms = {}
-        self._sm = {}
+        self.gen = gen
+        self._memo = {}
 
-    def M(self, i, j):
-        return angular_momentum_ij(self.ctx, i, j)
-
-    def S(self, i, j):
-        return s_elem(self.ctx, i, j)
-
-    def mm(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._mm.get(key)
+    def _product(self, kind: str, a, b, c, d):
+        key = (kind, a, b, c, d)
+        v = self._memo.get(key)
         if v is None:
-            v = self.M(a, b) * self.M(c, d)
-            self._mm[key] = v
+            left = s_elem(self.ctx, a, b) if kind == "sg" else self.gen(self.ctx, a, b)
+            right = s_elem(self.ctx, c, d) if kind == "gs" else self.gen(self.ctx, c, d)
+            v = self._memo[key] = left * right
         return v
 
-    def ms(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._ms.get(key)
-        if v is None:
-            v = self.M(a, b) * self.S(c, d)
-            self._ms[key] = v
-        return v
+    def gg(self, a, b, c, d):
+        return self._product("gg", a, b, c, d)
 
-    def sm(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._sm.get(key)
-        if v is None:
-            v = self.S(a, b) * self.M(c, d)
-            self._sm[key] = v
-        return v
+    def gs(self, a, b, c, d):
+        return self._product("gs", a, b, c, d)
+
+    def sg(self, a, b, c, d):
+        return self._product("sg", a, b, c, d)
 
     def com(self, a, b, c, d):
-        return self.mm(a, b, c, d) - self.mm(c, d, a, b)
+        return self.gg(a, b, c, d) - self.gg(c, d, a, b)
 
 
 def _check(result: CheckResult, instance, diff) -> None:
@@ -119,10 +107,11 @@ def check_com_ss(ctx: CherednikContext) -> CheckResult:
                - s_elem(ctx, j, k) * s_elem(ctx, i, j))
     for (i, j, k, l) in permutations(range(n), 4):
         _check(r, (i, j, k, l), commutator(s_elem(ctx, i, j), s_elem(ctx, k, l)))
-    gsq = _s_coupling_square(ctx)
-    for (i, j) in permutations(range(n), 2):
-        _check(r, ("square", i, j), s_elem(ctx, i, j) * s_elem(ctx, i, j) - gsq)
-        _check(r, ("sym", i, j), s_elem(ctx, i, j) - s_elem(ctx, j, i))
+    if n >= 2:  # with fewer than two coordinates there is no root, so no coupling
+        gsq = _s_coupling_square(ctx)
+        for (i, j) in permutations(range(n), 2):
+            _check(r, ("square", i, j), s_elem(ctx, i, j) * s_elem(ctx, i, j) - gsq)
+            _check(r, ("sym", i, j), s_elem(ctx, i, j) - s_elem(ctx, j, i))
     return r
 
 
@@ -189,14 +178,14 @@ def check_sjj_a(ctx: CherednikContext) -> CheckResult:
 
 def check_com_ms(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("com-MS")
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in permutations(range(n), 4):
-        _check(r, (i, j, k, l), pr.sm(i, j, k, l) - pr.ms(k, l, i, j))
+        _check(r, (i, j, k, l), pr.sg(i, j, k, l) - pr.gs(k, l, i, j))
     for (i, j) in permutations(range(n), 2):
-        _check(r, ("anti", i, j), pr.sm(i, j, i, j) + pr.ms(i, j, i, j))
+        _check(r, ("anti", i, j), pr.sg(i, j, i, j) + pr.gs(i, j, i, j))
     for (i, j, k) in permutations(range(n), 3):
-        _check(r, (i, j, k), pr.sm(i, j, i, k) - pr.ms(j, k, i, j))
+        _check(r, (i, j, k), pr.sg(i, j, i, k) - pr.gs(j, k, i, j))
     return r
 
 
@@ -206,22 +195,22 @@ def check_com_ms(ctx: CherednikContext) -> CheckResult:
 
 def check_commutation(ctx: CherednikContext, name: str = "son") -> CheckResult:
     r = CheckResult(name)
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
-        rhs = (pr.ms(i, l, j, k) + pr.ms(j, k, i, l)
-               - pr.ms(i, k, l, j) - pr.ms(j, l, i, k))
+        rhs = (pr.gs(i, l, j, k) + pr.gs(j, k, i, l)
+               - pr.gs(i, k, l, j) - pr.gs(j, l, i, k))
         _check(r, (i, j, k, l), pr.com(i, j, k, l) - rhs)
     return r
 
 
 def check_commutation_rev(ctx: CherednikContext, name: str = "son-rev") -> CheckResult:
     r = CheckResult(name)
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
-        rhs = (pr.sm(j, k, i, l) + pr.sm(i, l, j, k)
-               - pr.sm(l, j, i, k) - pr.sm(i, k, j, l))
+        rhs = (pr.sg(j, k, i, l) + pr.sg(i, l, j, k)
+               - pr.sg(l, j, i, k) - pr.sg(i, k, j, l))
         _check(r, (i, j, k, l), pr.com(i, j, k, l) - rhs)
     return r
 
@@ -232,33 +221,33 @@ def _cyclic(i, j, k):
 
 def check_crossing(ctx: CherednikContext, name: str = "cros-quant") -> CheckResult:
     r = CheckResult(name)
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
         lhs = zero(ctx)
         rhs = zero(ctx)
         for (a, b, c) in _cyclic(i, j, k):
-            lhs = lhs + pr.mm(a, b, c, l)
-            rhs = rhs + pr.ms(a, b, c, l)
+            lhs = lhs + pr.gg(a, b, c, l)
+            rhs = rhs + pr.gs(a, b, c, l)
         _check(r, (i, j, k, l), lhs - rhs)
     return r
 
 
 def check_crossing_cyc2(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("cros-cyc-2")
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
         diff = zero(ctx)
         for (a, b, c) in _cyclic(i, j, k):
-            diff = diff + pr.mm(a, b, c, l) - pr.sm(c, l, a, b)
+            diff = diff + pr.gg(a, b, c, l) - pr.sg(c, l, a, b)
         _check(r, (i, j, k, l), diff)
     return r
 
 
 def check_crossing_cyc3(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("cros-cyc-3")
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
         s1 = zero(ctx)
@@ -266,10 +255,10 @@ def check_crossing_cyc3(ctx: CherednikContext) -> CheckResult:
         s3 = zero(ctx)
         s4 = zero(ctx)
         for (a, b, c) in _cyclic(i, j, k):
-            s1 = s1 + pr.mm(l, a, b, c)
-            s2 = s2 + pr.sm(l, a, b, c)
-            s3 = s3 + pr.ms(a, b, c, l)
-            s4 = s4 + pr.mm(a, b, c, l)
+            s1 = s1 + pr.gg(l, a, b, c)
+            s2 = s2 + pr.sg(l, a, b, c)
+            s3 = s3 + pr.gs(a, b, c, l)
+            s4 = s4 + pr.gg(a, b, c, l)
         _check(r, ("12", i, j, k, l), s1 - s2)
         _check(r, ("23", i, j, k, l), s2 - s3)
         _check(r, ("34", i, j, k, l), s3 - s4)
@@ -278,12 +267,12 @@ def check_crossing_cyc3(ctx: CherednikContext) -> CheckResult:
 
 def check_crossing_anticomm(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("cros-anticomm")
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
         acc = zero(ctx)
         for (a, b, c) in _cyclic(i, j, k):
-            acc = acc + pr.mm(a, b, c, l) + pr.mm(c, l, a, b)
+            acc = acc + pr.gg(a, b, c, l) + pr.gg(c, l, a, b)
         _check(r, (i, j, k, l), acc)
     return r
 
@@ -291,14 +280,14 @@ def check_crossing_anticomm(ctx: CherednikContext) -> CheckResult:
 def check_crossing_class(ctx: CherednikContext) -> CheckResult:
     """Antisymmetrized quadratic products vanish (per 4-subset)."""
     r = CheckResult("cros-class")
-    pr = _Products(ctx)
+    pr = _Products(ctx, angular_momentum_ij)
     from .cherednik import _perm_sign
     for subset in combinations(range(ctx.n), 4):
         acc = zero(ctx)
         for perm in permutations(range(4)):
             sign = _perm_sign(perm)
             a, b, c, d = (subset[p] for p in perm)
-            acc = acc + pr.mm(a, b, c, d).scaled(sign)
+            acc = acc + pr.gg(a, b, c, d).scaled(sign)
         _check(r, subset, acc)
     return r
 
@@ -347,129 +336,88 @@ def check_centrality_so(ctx: CherednikContext) -> CheckResult:
 # gl relations
 # ---------------------------------------------------------------------------
 
-class _EProducts:
-    def __init__(self, ctx: CherednikContext):
-        self.ctx = ctx
-        self._ee = {}
-        self._es = {}
-        self._se = {}
-
-    def E(self, i, j):
-        return e_generator(self.ctx, i, j)
-
-    def S(self, i, j):
-        return s_elem(self.ctx, i, j)
-
-    def ee(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._ee.get(key)
-        if v is None:
-            v = self.E(a, b) * self.E(c, d)
-            self._ee[key] = v
-        return v
-
-    def es(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._es.get(key)
-        if v is None:
-            v = self.E(a, b) * self.S(c, d)
-            self._es[key] = v
-        return v
-
-    def se(self, a, b, c, d):
-        key = (a, b, c, d)
-        v = self._se.get(key)
-        if v is None:
-            v = self.S(a, b) * self.E(c, d)
-            self._se[key] = v
-        return v
-
-    def com(self, a, b, c, d):
-        return self.ee(a, b, c, d) - self.ee(c, d, a, b)
-
-
 def check_com_es(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("com-ES")
-    pr = _EProducts(ctx)
+    pr = _Products(ctx, e_generator)
     n = ctx.n
     for (i, j, k, l) in permutations(range(n), 4):
-        _check(r, (i, j, k, l), pr.se(i, j, k, l) - pr.es(k, l, i, j))
+        _check(r, (i, j, k, l), pr.sg(i, j, k, l) - pr.gs(k, l, i, j))
     for (i, j) in permutations(range(n), 2):
-        _check(r, ("flip", i, j), pr.se(i, j, i, j) - pr.es(j, i, i, j))
+        _check(r, ("flip", i, j), pr.sg(i, j, i, j) - pr.gs(j, i, i, j))
     for (i, j, k) in permutations(range(n), 3):
-        _check(r, ("left", i, j, k), pr.se(i, j, i, k) - pr.es(j, k, i, j))
-        _check(r, ("right", i, j, k), pr.se(i, j, k, i) - pr.es(k, j, i, j))
+        _check(r, ("left", i, j, k), pr.sg(i, j, i, k) - pr.gs(j, k, i, j))
+        _check(r, ("right", i, j, k), pr.sg(i, j, k, i) - pr.gs(k, j, i, j))
     return r
 
 
 def check_crosgl(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("crosgl")
-    pr = _EProducts(ctx)
+    pr = _Products(ctx, e_generator)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
-        lhs = pr.ee(i, j, k, l) - pr.ee(i, l, k, j)
-        rhs = pr.es(i, l, k, j) - pr.es(i, j, k, l)
+        lhs = pr.gg(i, j, k, l) - pr.gg(i, l, k, j)
+        rhs = pr.gs(i, l, k, j) - pr.gs(i, j, k, l)
         _check(r, (i, j, k, l), lhs - rhs)
     return r
 
 
 def check_crosgl2(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("crosgl2")
-    pr = _EProducts(ctx)
+    pr = _Products(ctx, e_generator)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
-        first = (pr.ee(i, j, k, l) + pr.es(i, j, k, l)
-                 - pr.ee(i, l, k, j) - pr.es(i, l, k, j))
+        first = (pr.gg(i, j, k, l) + pr.gs(i, j, k, l)
+                 - pr.gg(i, l, k, j) - pr.gs(i, l, k, j))
         _check(r, ("jl", i, j, k, l), first)
-        second = (pr.ee(i, j, k, l) + pr.se(i, j, k, l)
-                  - pr.ee(k, j, i, l) - pr.se(k, j, i, l))
+        second = (pr.gg(i, j, k, l) + pr.sg(i, j, k, l)
+                  - pr.gg(k, j, i, l) - pr.sg(k, j, i, l))
         _check(r, ("ik", i, j, k, l), second)
     return r
 
 
 def check_relgln1(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("relgln1")
-    pr = _EProducts(ctx)
+    pr = _Products(ctx, e_generator)
     n = ctx.n
     for (i, j, k, l) in product(range(n), repeat=4):
-        rhs = (pr.es(i, l, j, k) - pr.se(i, l, k, j)
-               + pr.se(k, l, i, j) - pr.es(i, j, k, l))
+        rhs = (pr.gs(i, l, j, k) - pr.sg(i, l, k, j)
+               + pr.sg(k, l, i, j) - pr.gs(i, j, k, l))
         _check(r, (i, j, k, l), pr.com(i, j, k, l) - rhs)
     return r
 
 
 def check_relgln2(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("relgln2")
-    pr = _EProducts(ctx)
+    pr = _Products(ctx, e_generator)
     n = ctx.n
     for (i, j, k, l) in permutations(range(n), 4):
         _check(r, ("a", i, j, k, l),
-               pr.com(i, j, k, l) - (pr.es(i, l, j, k) - pr.es(k, j, i, l)))
+               pr.com(i, j, k, l) - (pr.gs(i, l, j, k) - pr.gs(k, j, i, l)))
     for (i, k, l) in permutations(range(n), 3):
         _check(r, ("b", i, k, l),
-               pr.com(i, i, k, l) - (pr.es(i, l, i, k) - pr.es(k, l, i, l)))
+               pr.com(i, i, k, l) - (pr.gs(i, l, i, k) - pr.gs(k, l, i, l)))
     for (i, j) in permutations(range(n), 2):
         _check(r, ("c", i, j),
-               pr.com(i, i, j, j) - (pr.es(i, i, i, j) - pr.es(j, j, i, j)))
+               pr.com(i, i, j, j) - (pr.gs(i, i, i, j) - pr.gs(j, j, i, j)))
     for (i, j, l) in permutations(range(n), 3):
-        rhs = (pr.es(i, l, j, j) + pr.es(i, l, j, l) - pr.es(i, j, j, l)
-               - pr.es(j, j, i, l))
+        rhs = (pr.gs(i, l, j, j) + pr.gs(i, l, j, l) - pr.gs(i, j, j, l)
+               - pr.gs(j, j, i, l))
         _check(r, ("d", i, j, l), pr.com(i, j, j, l) - rhs)
     for (i, j) in permutations(range(n), 2):
         _check(r, ("e", i, j),
-               pr.com(i, i, i, j) - (pr.es(i, j, i, i) - pr.es(i, i, i, j)))
+               pr.com(i, i, i, j) - (pr.gs(i, j, i, i) - pr.gs(i, i, i, j)))
         # conjugate relation
         _check(r, ("e+", i, j),
-               pr.com(i, i, j, i) - (pr.se(i, j, i, i) - pr.se(i, i, j, i)))
+               pr.com(i, i, j, i) - (pr.sg(i, j, i, i) - pr.sg(i, i, j, i)))
     for (i, j, k) in permutations(range(n), 3):
         _check(r, ("f", i, j, k),
-               pr.com(i, j, k, j) - (pr.es(i, k, j, k) - pr.es(k, i, i, j)))
+               pr.com(i, j, k, j) - (pr.gs(i, k, j, k) - pr.gs(k, i, i, j)))
         _check(r, ("f+", j, k, i),
-               pr.com(j, k, j, i) - (pr.se(j, k, k, i) - pr.se(i, j, i, k)))
+               pr.com(j, k, j, i) - (pr.sg(j, k, k, i) - pr.sg(i, j, i, k)))
     for (i, j) in permutations(range(n), 2):
-        rhs = (pr.es(i, i, j, j) - pr.es(j, j, i, i)
-               + pr.es(i, i, i, j) - pr.es(j, j, i, j)
-               - pr.es(i, j, i, j) + pr.es(j, i, i, j))
+        rhs = (pr.gs(i, i, j, j) - pr.gs(j, j, i, i)
+               + pr.gs(i, i, i, j) - pr.gs(j, j, i, j)
+               - pr.gs(i, j, i, j) + pr.gs(j, i, i, j))
         _check(r, ("g", i, j), pr.com(i, j, j, i) - rhs)
     return r
 

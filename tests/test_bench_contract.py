@@ -7,6 +7,7 @@ These tests load the tracer read-only and fail first.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -16,8 +17,8 @@ from dunklalg.cherednik import CherednikContext, d_gen, x_gen
 from dunklalg.coxeter import build_root_system
 from dunklalg.subalgebra import SubAlgebra, SubWord
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def load_tracing():
@@ -49,11 +50,16 @@ def test_traced_run_has_no_absent_metric():
         nf = alg.normal_form_word(SubWord(((0, 1, 2),), ctx.e))
     finally:
         tracer.remove()
-    counts, _ = tracer.layers()
+    counts, times = tracer.layers()
     assert tracer.absent == []
     assert not product.is_zero() and nf
     assert counts["cherednik.PBWElement.mul.calls"] == 1
     assert counts["subalgebra.normal_form_word.calls"] == 1
+    # every per-layer metric of the result line, except the ratio that
+    # perfbench/run.py forms from untraced repetitions
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert names - set(counts) - set(times) == {"trace.overhead_ratio"}
 
 
 def test_group_elements_expose_perm():

@@ -24,7 +24,6 @@ from dunklalg.cherednik import (
     group,
     hamiltonian_H,
     m_squared,
-    multiply,
     one,
     pfaffian_sum,
     rho,
@@ -315,7 +314,12 @@ def test_context_mismatch():
     p = x_gen(ctx_a(2), 0)
     q = x_gen(ctx_a(2), 0)
     with pytest.raises(ContextMismatch):
-        multiply(p, q)
+        p * q
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative power"):
+        x_gen(ctx_a(2), 0) ** -1
 
 
 def a_plus(ctx, i):

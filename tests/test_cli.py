@@ -153,6 +153,25 @@ def test_rank_one_degenerate_group(capsys):
     assert out == "-1/2*D1^2\n"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    # A1 has no root, so no orbit and no coupling symbol
+    (["normal-form", "g"], 2),
+    (["verify", "restriction"], 2),
+    (["verify", "relations-so"], 0),
+    (["verify", "all"], 0),
+])
+def test_rank_one_has_no_coupling(capsys, argv, expected):
+    code = main(argv + ["--group", "A", "--rank", "1"])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in captured.err
+    if expected == 2:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    else:
+        assert captured.out.endswith("status: pass\n")
+
+
 def test_nonzero_residual_is_printed(capsys):
     # a deliberately wrong identity leaves a visible nonzero residual
     code, out = run(capsys, "normal-form", "[D[1], x[2]] - g*s[1,2]", "--group", "A",

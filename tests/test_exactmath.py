@@ -12,10 +12,12 @@ from dunklalg.exactmath import (
     NotDivisible,
     XPoly,
     _generic_point,
+    add_term,
     coeff_gcd,
     grevlex_key,
     parse_rational,
     poly_divide_exact,
+    render_terms,
     sparse_nullspace,
     sparse_rank_numeric,
     sparse_rank_symbolic,
@@ -88,6 +90,35 @@ def test_coeff_gcd_univariate():
     a = (g + 1) * (g - 2)
     b = (g + 1) * g
     assert coeff_gcd(a, b) == (g + 1)
+
+
+def test_add_term_removes_a_cancelled_key_and_appends_it_again():
+    g = CoeffPoly.symbol(0, 1)
+    acc = {"a": g, "b": g + 1}
+    add_term(acc, "a", -g)
+    assert acc == {"b": g + 1}
+    add_term(acc, "c", CoeffPoly.zero(1))
+    assert list(acc) == ["b"]
+    add_term(acc, "a", g)
+    add_term(acc, "b", g)
+    assert list(acc.items()) == [("b", g * 2 + 1), ("a", g)]
+
+
+def test_coeffpoly_is_false_only_at_zero():
+    g = CoeffPoly.symbol(0, 1)
+    assert not CoeffPoly.zero(1) and not (g - g) and not CoeffPoly.const(0, 0)
+    assert g and CoeffPoly.one(0) and CoeffPoly.const(Fraction(-1, 2), 1)
+
+
+def test_render_terms_signs_and_units():
+    assert render_terms([]) == "0"
+    terms = [("-1", "x1"), ("2", "1"), ("-3", "y"), ("1", "z"), ("(g + 1)", "w"), ("-g", "1")]
+    assert render_terms(terms) == "-x1 + 2 - 3*y + z + (g + 1)*w - g"
+
+
+def test_xpoly_negative_power_raises():
+    with pytest.raises(ValueError, match="negative power"):
+        x(0) ** -1
 
 
 def test_xpoly_ring_axioms():
@@ -395,15 +426,14 @@ def test_locpoly_reflection_negates_own_root():
                 (Fraction(0), Fraction(0), Fraction(1)))
         perm = (1, 0, 2)
         signs = (Fraction(1), Fraction(1), Fraction(1))
-    from dunklalg.exactmath import locpoly_apply_reflection
-    g = locpoly_apply_reflection(f, S)
+    g = f.apply_linear(S.cols, S.perm, S.signs)
     assert g == loc(-one, {0: 1})
     # x1 -> x2
     fx = loc(XPoly.variable(0, 3, 1))
-    assert locpoly_apply_reflection(fx, S) == loc(XPoly.variable(1, 3, 1))
+    assert fx.apply_linear(S.cols, S.perm, S.signs) == loc(XPoly.variable(1, 3, 1))
     # x1/(x1-x3) -> x2/(x2-x3)
     fq = loc(XPoly.variable(0, 3, 1), {1: 1})
-    gq = locpoly_apply_reflection(fq, S)
+    gq = fq.apply_linear(S.cols, S.perm, S.signs)
     assert gq == loc(XPoly.variable(1, 3, 1), {2: 1})
 
 

@@ -70,12 +70,16 @@ def test_so_mode_normal_form():
     nf = evaluate("M[1,3]*M[2,4]", ctx, mode="so")
     assert nf.is_supported_on_basis()
     assert not nf.is_zero()
+    square = evaluate("[M[1,2], M[2,3]]^2", ctx, mode="so")
+    assert not square.is_zero()
+    assert square == evaluate("[M[1,2], M[2,3]]*[M[1,2], M[2,3]]", ctx, mode="so")
 
 
 def test_gl_mode():
     ctx = ctx_a(2)
     nf = evaluate("[E[1,1], E[2,2]] - (E[1,1] - E[2,2])*S[1,2]", ctx, mode="gl")
     assert nf.is_zero()
+    assert evaluate("E[1,2]^2", ctx, mode="gl") == evaluate("E[1,2]*E[1,2]", ctx, mode="gl")
 
 
 def test_numeric_coupling_mode():
