@@ -147,8 +147,8 @@ def cmd_basis(args) -> int:
 def cmd_centre(args) -> int:
     ctx, family, rank = build_context(args)
     degree = args.degree if args.degree is not None else (4 if args.mode == "so" else 2)
-    results = centre_suite(args.mode, ctx, degree)
-    solutions, _ = centralizer(args.mode, ctx, degree)
+    solutions, aux = centralizer(args.mode, ctx, degree)
+    results = centre_suite(args.mode, ctx, degree, (solutions, aux))
     report = Report(check="centre", family=family, rank=rank,
                     params={"mode": args.mode, "degree": degree,
                             "dimension": len(solutions)},

@@ -1013,7 +1013,8 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
     zero; this pruning loop usually collapses most of the matrix. The exact
     echelon then runs on the rows that the modular certificate finds
     independent, and the basis is verified exactly against every other row;
-    on any violation it is solved once more on all rows.
+    for each basis vector some row violates, the first such row joins the
+    solved rows and the solve repeats.
     Returns (basis, forced_zero_columns).
     """
     work = []
@@ -1029,8 +1030,8 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
         changed = False
         remaining = []
         for row in work:
-            for c in forced:
-                row.pop(c, None)
+            for c in [c for c in row if c in forced]:
+                del row[c]
             if len(row) == 1:
                 forced.add(next(iter(row)))
                 changed = True
@@ -1044,10 +1045,7 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
                                len(row),
                                sum(len(p.terms) for p in row.values())))
     chosen = _mod_pivot_rows(work, _generic_point(nsym))
-    if chosen is None:
-        chosen = range(len(work))
-    core = _echelon_nullspace((work[i] for i in chosen), live, nsym)
-    picked = set(chosen)
+    picked = set(range(len(work)) if chosen is None else chosen)
     zero = CoeffPoly.zero(nsym)
 
     def annihilates(row: dict[int, CoeffPoly], vec: dict[int, CoeffPoly]) -> bool:
@@ -1058,9 +1056,17 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
                 acc = acc + p * v
         return acc.is_zero()
 
-    if not all(annihilates(row, vec) for i, row in enumerate(work) if i not in picked
-               for vec in core):
-        core = _echelon_nullspace(work, live, nsym)
+    # a row that violates a basis vector lies outside the span of the picked
+    # rows, so each round raises their rank: at most len(live) rounds
+    while True:
+        core = _echelon_nullspace((work[i] for i in sorted(picked)), live, nsym)
+        violated = {next((i for i, row in enumerate(work)
+                          if i not in picked and not annihilates(row, vec)), None)
+                    for vec in core}
+        violated.discard(None)
+        if not violated:
+            break
+        picked |= violated
 
     basis = [[vec.get(c, zero) for c in range(ncols)] for vec in core]
     constrained = forced.union(live)

@@ -18,6 +18,29 @@ crossings against a third arc when uncrossed) plus a disjoint pair
 measure (degree, arc-length sum, crossing count) therefore decreases at
 every recursion through the memo table, and the same wire-uncrossing
 argument bounds the gl move by the count of incomparable factor pairs.
+
+The centralizer is solved in these coordinates: each commutator of an
+unknown basis word times a group tail with a constraint is straightened with
+SubElement arithmetic, one column per basis word times tail of degree up to
+d + 1, and nothing is embedded into H_c to build the rows.
+
+  soundness: the straightening rules are the relations that the
+  relations-so, relations-gl and crossing suites verify in H_c, so a vector
+  whose commutators have zero coordinates is central;
+  completeness: nothing is missed when the basis words times tails of
+  degree <= d + 1 are independent in H_c. symbol_certificate proves it on
+  every call from the rank of their g-free top symbols, and the returned
+  elements are checked to commute in H_c as well;
+  pruning: the constraints are M_12 (gl: E_11, E_12) and the reflections.
+  An element that commutes with the reflections is W-invariant, so it
+  commutes with every W-conjugate of a kept generator; for a custom root
+  system constraint_pairs keeps each generator those conjugates miss.
+
+Measured on a 2-CPU VM with Python 3.11 (process time, single runs), rows
+from H_c embeddings against these: so B2 d4 1.25 s -> 0.42 s, gl A2 d2
+0.62 s -> 0.06 s, so A3 d3 3.7 s -> 0.15 s, so A3 d4 21.5 s -> 0.81 s,
+gl A3 d2 34 s -> 0.47 s, so A4 d3 about 250 s -> 6.6 s, with the same
+bases. At B2 d4, 0.3 s of what is left is the H_c check.
 """
 
 from __future__ import annotations
@@ -40,6 +63,7 @@ from .cherednik import (
 from .coxeter import GroupElement, invariant_sum_S
 from .exactmath import (
     CoeffPoly,
+    XPoly,
     add_term,
     render_terms,
     sparse_nullspace,
@@ -53,6 +77,10 @@ Pair = tuple[int, int]
 
 class DegreeBound(ValueError):
     """Input word exceeds the configured straightening degree bound."""
+
+
+class CertificateFailure(ArithmeticError):
+    """An exact certificate behind a centralizer basis did not hold."""
 
 
 @dataclass(frozen=True)
@@ -724,10 +752,84 @@ def pbw_rank_check(family: str, ctx: CherednikContext, d: int) -> tuple[CheckRes
     return result, details
 
 
+def _generator_pairs(alg: SubAlgebra) -> list[Pair]:
+    n = alg.ctx.n
+    if alg.family == "so":
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [(k, l) for k in range(n) for l in range(n)]
+
+
+def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
+    """Generators kept as centralizer constraints beside the reflections.
+
+    Commuting with the reflections makes B W-invariant, so B then commutes
+    with every W-conjugate of a generator it commutes with. Keep M_12 (gl:
+    E_11, E_12), then, in generator order, each generator outside the Q-span
+    of the W-conjugates of those kept; for the A, B and D families that
+    span is everything already.
+    """
+    pairs = _generator_pairs(alg)
+    col = {p: k for k, p in enumerate(pairs)}
+    one = alg.ctx.one
+    seeds = [(0, 1)] if alg.family == "so" else [(0, 0), (0, 1)]
+    order = [p for p in seeds if p in col] + [p for p in pairs if p not in seeds]
+    kept: list[Pair] = []
+    rows: dict[tuple, dict[int, CoeffPoly]] = {}
+    rank = 0
+    for pair in order:
+        if sparse_rank_symbolic(list(rows.values()) + [{col[pair]: one}]) == rank:
+            continue
+        kept.append(pair)
+        for w in alg.ctx.rs.group():
+            row: dict[int, CoeffPoly] = {}
+            for (p2, c) in alg._conj_one(w, pair):
+                add_term(row, col[p2], c)
+            rows.setdefault(tuple(sorted((k, c.key()) for k, c in row.items())), row)
+        rank = sparse_rank_symbolic(rows.values())
+    return kept
+
+
+def symbol_certificate(alg: SubAlgebra, d: int) -> None:
+    """Raise CertificateFailure unless the basis words of each degree k <= d
+    have linearly independent top symbols.
+
+    In gr H_c = C[x, xi] x| W the symbol of a degree-k word is the product of
+    its generators' symbols: x_i xi_j - x_j xi_i for M_ij, and for E_ij the
+    product a+_i a_j of two independent linear forms, which the invertible
+    substitution (x - xi, x + xi) -> (x, xi) turns into x_i xi_j. These
+    symbols are g-free, and C[x, xi] x| W is free over C[x, xi] on W, so
+    their rank per degree certifies that the words times group tails are
+    independent in H_c.
+    """
+    n = alg.ctx.n
+    enum = enumerate_basis_so if alg.family == "so" else enumerate_basis_gl
+    x = [XPoly.variable(k, 2 * n, 0) for k in range(2 * n)]
+    symbol = {(i, j): x[i] * x[n + j] - x[j] * x[n + i] if alg.family == "so"
+              else x[i] * x[n + j] for (i, j) in _generator_pairs(alg)}
+    for k in range(d + 1):
+        words = enum(n, k, alg.ctx.e)
+        col: dict = {}
+        rows = []
+        for word in words:
+            prod = XPoly.one(2 * n, 0)
+            for pair in word.pairs():
+                prod = prod * symbol[pair]
+            rows.append({col.setdefault(e, len(col)): c for e, c in prod.terms.items()})
+        rank = sparse_rank_symbolic(rows)
+        if rank != len(words):
+            raise CertificateFailure("%s degree %d: symbol rank %d < %d basis words"
+                                     % (alg.family, k, rank, len(words)))
+
+
 def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubElement], dict]:
     """Basis of {B : [B, generators] = 0} over basis words of degree <= d
-    with arbitrary group tails; solved exactly over Q(g)."""
+    with arbitrary group tails; solved exactly over Q(g) in the subalgebra's
+    own coordinates (see the module docstring)."""
     alg = get_subalgebra(ctx, family)
+    if d + 1 > alg.max_degree:
+        raise DegreeBound("centralizer degree %d: commutators reach degree %d, above bound %d"
+                          % (d, d + 1, alg.max_degree))
+    symbol_certificate(alg, d + 1)
     enum = enumerate_basis_so if family == "so" else enumerate_basis_gl
     grp = ctx.rs.group()
     unknowns: list[SubWord] = []
@@ -735,23 +837,28 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
         for word in enum(ctx.n, deg, ctx.e):
             for tail in grp:
                 unknowns.append(SubWord(word.factors, tail))
-    if family == "so":
-        constraints = [angular_momentum_ij(ctx, i, j)
-                       for i in range(ctx.n) for j in range(i + 1, ctx.n)]
-    else:
-        constraints = [e_generator(ctx, k, l) for k in range(ctx.n) for l in range(ctx.n)]
-    constraints += [group(ctx, s) for s in ctx.rs.reflections()]
+    kept = constraint_pairs(alg)
+    constraints = [SubElement.of(alg, SubWord(((i, j, 1),), ctx.e)) for (i, j) in kept]
+    constraints += [SubElement.of(alg, SubWord((), s)) for s in ctx.rs.reflections()]
     rows_by_key: dict = {}
     for u_idx, word in enumerate(unknowns):
-        p = alg.embed_word(word)
+        p = SubElement.of(alg, word)
         for c_idx, gen in enumerate(constraints):
-            com = p * gen - gen * p
-            for key, coeff in com.terms.items():
+            com = (p * gen).terms
+            for key, coeff in (gen * p).terms.items():
+                add_term(com, key, -coeff)
+            for key, coeff in com.items():
                 rows_by_key.setdefault((c_idx, key), {})[u_idx] = coeff
     basis_vectors, _ = sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)
     # the unknowns are distinct words, so no two coordinates share a key
     solutions = [SubElement(alg, {unknowns[idx]: c for idx, c in enumerate(vec) if c})
                  for vec in basis_vectors]
+    gens = [alg.generator(i, j) for (i, j) in kept] + [group(ctx, s) for s in ctx.rs.reflections()]
+    for sol in solutions:
+        p = sol.embed()
+        if any(not (p * g - g * p).is_zero() for g in gens):
+            raise CertificateFailure("centralizer element does not commute in H_c: %s"
+                                     % sol.render())
     return solutions, {"unknowns": unknowns, "vectors": basis_vectors}
 
 

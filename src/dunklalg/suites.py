@@ -536,13 +536,15 @@ def restriction_suite(ctx: CherednikContext, degree: int) -> list[CheckResult]:
     return results
 
 
-def centre_suite(family: str, ctx: CherednikContext, degree: int) -> list[CheckResult]:
+def centre_suite(family: str, ctx: CherednikContext, degree: int,
+                 solved: tuple[list[SubElement], dict] | None = None) -> list[CheckResult]:
     """Centralizer dimension and generator membership at desk scale.
 
     Expected dimension counts the powers of the central generator fitting in
-    the degree bound (generator degree 2 for so, 1 for gl).
+    the degree bound (generator degree 2 for so, 1 for gl). ``solved`` is the
+    result of ``centralizer(family, ctx, degree)`` when the caller has it.
     """
-    solutions, aux = centralizer(family, ctx, degree)
+    solutions, aux = solved if solved is not None else centralizer(family, ctx, degree)
     r = CheckResult("centre-%s" % family)
     alg = get_subalgebra(ctx, family)
     if family == "so":

@@ -184,6 +184,14 @@ def test_criterion_09_centre():
         coords = element_coordinates(power.normal_form(), aux["unknowns"])
         assert coords is not None and in_span(aux["vectors"], coords)
         power = power * homega
+    # so, type A, N=4, degree 3: dimension 2 spanned by 1, HOmega
+    ctx4 = ctx_for("A", 4)
+    sols4, aux4 = centralizer("so", ctx4, 3)
+    assert len(sols4) == 2
+    so4 = get_subalgebra(ctx4, "so")
+    for cand in (SubElement.of(so4, SubWord((), ctx4.e)), h_omega_subelement(so4)):
+        coords = element_coordinates(cand.normal_form(), aux4["unknowns"])
+        assert coords is not None and in_span(aux4["vectors"], coords)
     # gl, N=2, degree 2: dimension 3 spanned by 1, rho, rho^2
     ctx2 = ctx_for("A", 2)
     solsg, auxg = centralizer("gl", ctx2, 2)
@@ -212,7 +220,7 @@ def test_criterion_09_centre():
         coords = element_coordinates(power.normal_form(), auxb["unknowns"])
         assert coords is not None and in_span(auxb["vectors"], coords)
         power = power * homega_b
-    print("ACCEPTANCE C9 pass: centre dims 3 (so A3 d4), 3 (gl A2 d2); "
+    print("ACCEPTANCE C9 pass: centre dims 3 (so A3 d4), 2 (so A4 d3), 3 (gl A2 d2); "
           "B2 expectation 3 fails honestly with computed dimension 11 "
           "(discrepancy reported; see this module's docstring)")
 

@@ -56,6 +56,40 @@ def test_golden_centre_so_b2(capsys):
     assert code == 1
 
 
+def test_golden_centre_so_a4(capsys):
+    # the first centre at N = 4: dimension 2, spanned by 1 and HOmega
+    code, out = run(capsys, "centre", "--mode", "so", "--group", "A", "--rank", "4",
+                    "--degree", "3")
+    assert out == golden("centre_so_a4_d3.txt")
+    assert code == 0
+
+
+def test_centre_solves_once(capsys, monkeypatch):
+    from dunklalg import cli, subalgebra, suites
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return subalgebra.centralizer(*args)
+
+    monkeypatch.setattr(cli, "centralizer", counted)
+    monkeypatch.setattr(suites, "centralizer", counted)
+    code, out = run(capsys, "centre", "--mode", "gl", "--group", "A", "--rank", "2",
+                    "--degree", "2", "--format", "json")
+    assert out == golden("centre_gl_a2_d2.json")
+    assert code == 0 and len(calls) == 1
+
+
+def test_centre_above_the_degree_bound_is_a_usage_error(capsys):
+    # commutators of degree-12 unknowns reach degree 13, past the bound 12
+    code = main(["centre", "--degree", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_identical_invocations_identical_bytes(capsys):
     argv = ["verify", "pfaffian", "--group", "A", "--rank", "4", "--format", "json"]
     _, first = run(capsys, *argv)

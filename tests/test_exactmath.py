@@ -367,6 +367,51 @@ def test_rows_vanishing_at_the_certificate_point():
     assert forced == [] and basis == [[one, -one, one]]
 
 
+def test_planted_row_joins_the_solve_without_the_others(monkeypatch):
+    # 300 rows of rank 20 on 40 columns, plus one row h*v with h vanishing at
+    # the certificate point: the modular pivot rows miss it, the first basis
+    # violates it, and one more solve on the 20 pivot rows plus that row ends
+    from dunklalg import exactmath
+
+    rng = random.Random(61)
+    one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)
+    ncols = 40
+    base = []
+    for k in range(20):
+        row = [zero] * ncols
+        for c in (k, 20 + k, rng.randrange(ncols)):
+            row[c] = one * rng.randint(1, 9)
+        base.append(row)
+    rows = []
+    for _ in range(300):
+        a, b = rng.sample(base, 2)
+        p, q = rng.randint(1, 5), rng.randint(-5, -1)
+        rows.append([x * p + y * q for x, y in zip(a, b)])
+    h = CoeffPoly.symbol(0, 1) - _generic_point(1)[0]
+    planted = [zero] * ncols
+    planted[0], planted[39] = h, h * 2
+    rows.append(planted)
+    assert rank_at_specialization(rows, [Fraction(3)]) == 21
+
+    solved = []
+    real = exactmath._echelon_nullspace
+
+    def counted(picked, cols, nsym):
+        picked = list(picked)
+        solved.append(len(picked))
+        return real(picked, cols, nsym)
+
+    monkeypatch.setattr(exactmath, "_echelon_nullspace", counted)
+    basis, forced = sparse_nullspace(sparse(rows), ncols, 1)
+    assert solved == [20, 21]
+    assert forced == [] and len(basis) == ncols - 21
+    for vec in basis:
+        assert all(p.is_zero() for p in matrix_apply(rows, vec))
+    oracle = real(sparse(rows), range(ncols), 1)
+    assert [[vec[c].key() for c in range(ncols)] for vec in basis] == \
+        [[vec.get(c, zero).key() for c in range(ncols)] for vec in oracle]
+
+
 def test_in_span_rejects_a_vector_outside():
     g = CoeffPoly.symbol(0, 1)
     one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)

@@ -12,16 +12,19 @@ from dunklalg.cherednik import (
     group,
     rho,
 )
-from dunklalg.coxeter import build_root_system
-from dunklalg.exactmath import CoeffPoly
+from dunklalg import subalgebra
+from dunklalg.coxeter import build_root_system, load_root_system
+from dunklalg.exactmath import CoeffPoly, sparse_nullspace
 from dunklalg.polyrep import DunklContext, apply_element
 from dunklalg.subalgebra import (
     ArcDiagram,
+    CertificateFailure,
     DegreeBound,
     SubAlgebra,
     SubElement,
     SubWord,
     centralizer,
+    constraint_pairs,
     count_chain_multisets,
     count_noncrossing_multisets,
     element_coordinates,
@@ -35,8 +38,10 @@ from dunklalg.subalgebra import (
     pbw_rank_check,
     random_subelement,
     rho_subelement,
+    symbol_certificate,
     word_from_pairs,
 )
+from test_general_group import ROT
 
 
 def actx(n, family="A"):
@@ -242,3 +247,116 @@ def test_centralizer_solutions_commute():
         for s in ctx.rs.reflections():
             w = group(ctx, s)
             assert (p * w - w * p).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The centralizer against the embedded oracle
+# ---------------------------------------------------------------------------
+
+def embedded_centralizer(family, ctx, d):
+    """The centralizer solved in H_c: every unknown word times tail is
+    embedded in PBW form and commuted there with every generator and every
+    reflection, one row per (constraint, H_c monomial)."""
+    alg = get_subalgebra(ctx, family)
+    enum = enumerate_basis_so if family == "so" else enumerate_basis_gl
+    grp = ctx.rs.group()
+    unknowns = []
+    for deg in range(d + 1):
+        for word in enum(ctx.n, deg, ctx.e):
+            for tail in grp:
+                unknowns.append(SubWord(word.factors, tail))
+    if family == "so":
+        constraints = [angular_momentum_ij(ctx, i, j)
+                       for i in range(ctx.n) for j in range(i + 1, ctx.n)]
+    else:
+        constraints = [e_generator(ctx, k, l) for k in range(ctx.n) for l in range(ctx.n)]
+    constraints += [group(ctx, s) for s in ctx.rs.reflections()]
+    rows_by_key = {}
+    for u_idx, word in enumerate(unknowns):
+        p = alg.embed_word(word)
+        for c_idx, gen in enumerate(constraints):
+            com = p * gen - gen * p
+            for key, coeff in com.terms.items():
+                rows_by_key.setdefault((c_idx, key), {})[u_idx] = coeff
+    basis_vectors, _ = sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)
+    return unknowns, basis_vectors
+
+
+def rotated_b2(pad=0):
+    """B2 rotated by (3/5, 4/5) in the first two coordinates of R^(2 + pad):
+    no element is a signed permutation, and for pad = 1 the W-conjugates of
+    M_12 span M_12 alone."""
+    base = build_root_system("B", 2)
+    roots = [tuple(ROT[0][k] * r[0] + ROT[1][k] * r[1] for k in range(2)) + (0,) * pad
+             for r in base.positive_roots]
+    return load_root_system({"rank": 2 + pad, "roots": [[str(c) for c in r] for r in roots],
+                             "orbits": [o + 1 for o in base.orbit_of], "label": "B2-rotated"})
+
+
+@pytest.mark.parametrize("family,make,d", [
+    ("so", lambda: build_root_system("B", 2), 4),
+    ("gl", lambda: build_root_system("A", 2), 2),
+    ("so", lambda: build_root_system("A", 3), 3),
+    ("so", rotated_b2, 3),
+    ("so", lambda: rotated_b2(1), 2),
+], ids=["so-B2-d4", "gl-A2-d2", "so-A3-d3", "so-B2rot-d3", "so-B2rot-R3-d2"])
+def test_centralizer_matches_embedded_oracle(family, make, d):
+    sols, aux = centralizer(family, CherednikContext(make()), d)
+    unknowns, vectors = embedded_centralizer(family, CherednikContext(make()), d)
+    assert [u.render(family) for u in aux["unknowns"]] == [u.render(family) for u in unknowns]
+    assert len(sols) == len(vectors)
+    for mine, theirs in zip(aux["vectors"], vectors):
+        assert [c.key() for c in mine] == [c.key() for c in theirs]
+
+
+def test_constraint_pairs_keep_what_the_conjugates_miss():
+    assert constraint_pairs(get_subalgebra(actx(4), "so")) == [(0, 1)]
+    assert constraint_pairs(get_subalgebra(actx(3, "B"), "gl")) == [(0, 0), (0, 1)]
+    rotated = CherednikContext(rotated_b2(1))
+    # the rotated plane is W-stable, so M_12 maps to +-M_12 and M_13 to the
+    # span of M_13 and M_23
+    assert constraint_pairs(get_subalgebra(rotated, "so")) == [(0, 1), (0, 2)]
+
+
+def test_symbol_certificate_rejects_a_dependent_word(monkeypatch):
+    ctx = actx(4)
+    alg = get_subalgebra(ctx, "so")
+    symbol_certificate(alg, 4)
+    real = subalgebra.enumerate_basis_so
+
+    def with_crossing(n, d, tail=None, ctx=None):
+        # M_13 M_24 has the symbol p13 p24 = p12 p34 + p14 p23 (Pluecker)
+        words = real(n, d, tail, ctx)
+        if d == 2:
+            words.append(word_from_pairs(((0, 2), (1, 3)), words[0].tail))
+        return words
+
+    monkeypatch.setattr(subalgebra, "enumerate_basis_so", with_crossing)
+    with pytest.raises(CertificateFailure):
+        symbol_certificate(alg, 2)
+    # centralizer certifies before it solves
+    with pytest.raises(CertificateFailure):
+        centralizer("so", ctx, 1)
+
+
+def test_centralizer_rejects_an_element_that_does_not_commute(monkeypatch):
+    ctx = actx(2)
+    real = subalgebra.sparse_nullspace
+
+    def with_extra(rows, ncols, nsym):
+        basis, forced = real(rows, ncols, nsym)
+        extra = [CoeffPoly.zero(nsym)] * ncols
+        extra[ncols - 1] = CoeffPoly.one(nsym)      # a degree-1 word times a tail
+        return basis + [extra], forced
+
+    monkeypatch.setattr(subalgebra, "sparse_nullspace", with_extra)
+    with pytest.raises(CertificateFailure):
+        centralizer("gl", ctx, 1)
+
+
+def test_centralizer_degree_bound_checked_first():
+    ctx = actx(2)
+    alg = get_subalgebra(ctx, "so")
+    with pytest.raises(DegreeBound):
+        centralizer("so", ctx, alg.max_degree)
+    assert not alg._memo
