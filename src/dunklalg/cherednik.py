@@ -25,8 +25,6 @@ from typing import Iterable, Sequence
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
 from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms
 
-_F1 = Fraction(1)
-
 
 class ContextMismatch(ValueError):
     """Operands belong to different algebra contexts."""
@@ -69,8 +67,8 @@ class CherednikContext:
         key = (i, j)
         cached = self._s_terms.get(key)
         if cached is None:
-            ga = s_pair([_F1 if k == i else 0 for k in range(self.n)],
-                        [_F1 if k == j else 0 for k in range(self.n)],
+            ga = s_pair([1 if k == i else 0 for k in range(self.n)],
+                        [1 if k == j else 0 for k in range(self.n)],
                         self.rs, self.gmap)
             cached = tuple(ga.terms.items())
             self._s_terms[key] = cached
@@ -83,7 +81,7 @@ class CherednikContext:
             cached = self._act.get(key)
             if cached is None:
                 out = [0] * self.n
-                sign = _F1
+                sign = 1
                 for j, p in enumerate(a):
                     if p:
                         out[w.perm[j]] = p
@@ -95,7 +93,7 @@ class CherednikContext:
         key = (w, a)
         cached = self._act.get(key)
         if cached is None:
-            terms = {self.zero_exp: _F1}
+            terms = {self.zero_exp: 1}
             for j, p in enumerate(a):
                 for _ in range(p):
                     new: dict[tuple[int, ...], Fraction] = {}
@@ -103,7 +101,7 @@ class CherednikContext:
                         for k, v in enumerate(w.cols[j]):
                             if v:
                                 key2 = _bump(exp, k)
-                                new[key2] = new.get(key2, Fraction(0)) + c * v
+                                new[key2] = new.get(key2, 0) + c * v
                     terms = {e2: c for e2, c in new.items() if c}
             cached = tuple((c, e2) for e2, c in terms.items())
             self._act[key] = cached

@@ -6,6 +6,11 @@ localized at products of root linear forms (LocPoly), and linear algebra
 over Q(g1..gk) on sparse rows: a rank certificate modulo 2^61 - 1 at a fixed
 point, and a fraction-free sparse echelon for exact ranks and nullspaces.
 
+A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``:
+values are ints when integral wherever they enter (constructors, scaling by
+a number, exact division, gcds), so the bulk of the products are int
+products, and every division goes through ``Fraction``.
+
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
 """
@@ -20,7 +25,6 @@ from typing import Iterable, Sequence
 Rat = Fraction
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class NotDivisible(ArithmeticError):
@@ -96,8 +100,8 @@ def render_monomial(exp: Sequence[int], names: Sequence[str]) -> str:
 
 
 def _add_scaled(acc: dict, terms: dict, r) -> None:
-    """acc += r * terms on raw coefficient maps; r is the int 1 or -1 on the
-    fast path (no product is formed), else a Fraction. Zeros may remain."""
+    """acc += r * terms on raw coefficient maps; r is an int or a Fraction,
+    and 1 or -1 forms no product. Zeros and integral Fractions may remain."""
     get = acc.get
     if r == 1:
         for s, v in terms.items():
@@ -113,20 +117,39 @@ def _add_scaled(acc: dict, terms: dict, r) -> None:
             acc[s] = v * r if p is None else p + v * r
 
 
-def _unit_or(r: Fraction):
-    """r as the int 1 or -1 when it is one (the _add_scaled fast path)."""
-    return int(r) if r in (1, -1) else r
+def _exact_scalar(v) -> int | Fraction:
+    """v as an exact coefficient value: an int when it is integral, else a
+    Fraction. Floats and strings are converted exactly, never stored."""
+    if v.__class__ is int:
+        return v
+    if v.__class__ is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
-def _rat_content(coeffs: Iterable[Fraction]) -> Fraction:
+def _div(a, b) -> int | Fraction:
+    """a / b for int or Fraction values, through Fraction: never a float."""
+    if a.__class__ is int and b.__class__ is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _exact_scalar(Fraction(a) / b)
+
+
+def _exact_terms(terms: dict) -> dict:
+    """A raw coefficient map without its zeros, integral Fractions as ints."""
+    return {e: v if v.__class__ is int else _exact_scalar(v) for e, v in terms.items() if v}
+
+
+def _rat_content(coeffs: Iterable[int | Fraction]) -> int | Fraction:
     num = 0
     den = 1
     for c in coeffs:
         num = math.gcd(num, c.numerator)
         den = den * c.denominator // math.gcd(den, c.denominator)
     if num == 0:
-        return _F1
-    return Fraction(num, den)
+        return 1
+    return num if den == 1 else Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +159,17 @@ def _rat_content(coeffs: Iterable[Fraction]) -> Fraction:
 class CoeffPoly:
     """Polynomial in the coupling symbols with rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``nsym`` to nonzero Fractions.
-    The zero polynomial has an empty term map.
+    ``terms`` maps exponent tuples of length ``nsym`` to nonzero ``int`` or
+    ``Fraction`` values, never ``float``; division goes through ``Fraction``.
+    Values enter as ints when integral. A sum or product of two Fractions
+    may leave an integral Fraction, which compares, hashes and renders as
+    its int, so keys and output do not depend on the representation. The
+    zero polynomial has an empty term map.
     """
 
     __slots__ = ("nsym", "terms")
 
-    def __init__(self, nsym: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nsym: int, terms: dict[tuple[int, ...], int | Fraction] | None = None):
         self.nsym = nsym
         self.terms = terms if terms is not None else {}
 
@@ -154,8 +181,8 @@ class CoeffPoly:
 
     @staticmethod
     def const(value, nsym: int) -> CoeffPoly:
-        v = Fraction(value)
-        if v == 0:
+        v = _exact_scalar(value)
+        if not v:
             return CoeffPoly(nsym)
         return CoeffPoly(nsym, {(0,) * nsym: v})
 
@@ -166,7 +193,7 @@ class CoeffPoly:
     @staticmethod
     def symbol(index: int, nsym: int) -> CoeffPoly:
         exp = tuple(1 if i == index else 0 for i in range(nsym))
-        return CoeffPoly(nsym, {exp: _F1})
+        return CoeffPoly(nsym, {exp: 1})
 
     def _coerce(self, other) -> CoeffPoly:
         if isinstance(other, CoeffPoly):
@@ -197,19 +224,29 @@ class CoeffPoly:
 
     def __mul__(self, other) -> CoeffPoly:
         if not isinstance(other, CoeffPoly):
-            v = Fraction(other)
-            if v == 0:
-                return CoeffPoly(self.nsym)
-            return CoeffPoly(self.nsym, {e: c * v for e, c in self.terms.items()})
+            return self._scaled(_exact_scalar(other))
         other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(a.terms) == 1:
+            (e, v), = a.terms.items()
+            if not any(e):
+                return b._scaled(v)
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
                 add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return CoeffPoly(self.nsym, out)
+
+    def _scaled(self, v: int | Fraction) -> CoeffPoly:
+        """self * v for an exact scalar v; by 1 that is self itself, which is
+        immutable and so can be shared, and by -1 its negation."""
+        if v == 1:
+            return self
+        if v == -1:
+            return -self
+        if not v:
+            return CoeffPoly(self.nsym)
+        return CoeffPoly(self.nsym, _exact_terms({e: c * v for e, c in self.terms.items()}))
 
     __rmul__ = __mul__
 
@@ -244,7 +281,7 @@ class CoeffPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
@@ -259,19 +296,19 @@ class CoeffPoly:
             return CoeffPoly(self.nsym)
         qe, qc = q.leading()
         rem = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             re = max(rem, key=grevlex_key)
             m = tuple(a - b for a, b in zip(re, qe))
             if any(e < 0 for e in m):
                 raise NotDivisible("coupling polynomial division is not exact")
-            c = rem[re] / qc
+            c = _div(rem[re], qc)
             add_term(out, m, c)
             for e2, c2 in q.terms.items():
                 add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
         return CoeffPoly(self.nsym, out)
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """Positive rational content (gcd of the coefficients)."""
         return _rat_content(self.terms.values())
 
@@ -289,7 +326,7 @@ class CoeffPoly:
         _, lc = self.leading()
         if lc < 0:
             c = -c
-        return CoeffPoly(self.nsym, {e: v / c for e, v in self.terms.items()})
+        return CoeffPoly(self.nsym, {e: _div(v, c) for e, v in self.terms.items()})
 
     def substitute(self, values: Sequence[Fraction]) -> Fraction:
         """Evaluate at rational values of the coupling symbols."""
@@ -334,12 +371,12 @@ def coeff_gcd(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
         return _gcd_univariate(a, b)
     m = tuple(min(x, y) for x, y in zip(a.monomial_content(), b.monomial_content()))
     c = math.gcd(a.content().numerator, b.content().numerator)
-    return CoeffPoly(a.nsym, {m: Fraction(max(c, 1))})
+    return CoeffPoly(a.nsym, {m: max(c, 1)})
 
 
-def _dense(p: CoeffPoly) -> list[Fraction]:
+def _dense(p: CoeffPoly) -> list[int | Fraction]:
     d = p.degree()
-    out = [_F0] * (d + 1)
+    out = [0] * (d + 1)
     for e, c in p.terms.items():
         out[e[0] if e else 0] = c
     return out
@@ -357,7 +394,7 @@ def _gcd_univariate(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
             continue
         lead = fb[-1]
         shift = len(fa) - len(fb)
-        factor = fa[-1] / lead
+        factor = _div(fa[-1], lead)
         for i, c in enumerate(fb):
             fa[i + shift] -= factor * c
         fa.pop()
@@ -517,7 +554,7 @@ class XPoly:
         out = {}
         for e, c in self.terms.items():
             new = [0] * self.nvars
-            sign = _F1
+            sign = 1
             for i, p in enumerate(e):
                 if p:
                     new[perm[i]] = p
@@ -556,7 +593,7 @@ class XPoly:
         nonzero entry of vec."""
         if len(vec) != self.nvars:
             raise ValueError("mixed polynomial contexts")
-        parts = [(k, _unit_or(Fraction(v))) for k, v in enumerate(vec) if v]
+        parts = [(k, _exact_scalar(v)) for k, v in enumerate(vec) if v]
         acc: dict[tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
             for k, r in parts:
@@ -579,8 +616,8 @@ class XPoly:
         j = next((k for k, v in enumerate(vec) if v), None)
         if j is None:
             raise ZeroDivisionError("division by the zero linear form")
-        inv = _unit_or(1 / Fraction(vec[j]))
-        rest = [(k, _unit_or(-Fraction(v) * inv)) for k, v in enumerate(vec) if v and k != j]
+        inv = _div(1, vec[j])
+        rest = [(k, _exact_scalar(-v * inv)) for k, v in enumerate(vec) if v and k != j]
         rem = {e: dict(c.terms) for e, c in self.terms.items()}
         buckets: dict[int, list[tuple[int, ...]]] = {}
         for e in rem:
@@ -619,7 +656,7 @@ def _coeff_polys(acc: dict[tuple[int, ...], dict], nsym: int) -> dict[tuple[int,
     """Raw coefficient maps to nonzero CoeffPoly terms, dropping zeros."""
     out = {}
     for e, t in acc.items():
-        t = {s: v for s, v in t.items() if v}
+        t = _exact_terms(t)
         if t:
             out[e] = CoeffPoly(nsym, t)
     return out
@@ -913,7 +950,7 @@ def _normalize_sparse_row(row: dict[int, CoeffPoly]) -> dict[int, CoeffPoly]:
         return row
     c = _rat_content(v for p in row.values() for v in p.terms.values())
     if c != 1:
-        inv = 1 / c
+        inv = _div(1, c)
         row = {k: p * inv for k, p in row.items()}
     g: CoeffPoly | None = None
     for p in row.values():
@@ -972,7 +1009,7 @@ def _clear_denominators(vec: dict[int, _RF]) -> dict[int, CoeffPoly]:
     if out[cols[0]].leading()[1] < 0:
         r = -r
     if r != 1:
-        out = {c: p * (1 / r) for c, p in out.items()}
+        out = {c: p * _div(1, r) for c, p in out.items()}
     return out
 
 

@@ -265,7 +265,7 @@ class SubAlgebra:
         if w.is_identity() or not pairs:
             return [(tuple(pairs), self.ctx.one)]
         if w.perm is not None:
-            sign = Fraction(1)
+            sign = 1
             out = []
             for (i, j) in pairs:
                 ii, jj = w.perm[i], w.perm[j]

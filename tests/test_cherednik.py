@@ -391,3 +391,28 @@ def test_canonical_str_deterministic():
     p = d_gen(ctx, 0) * x_gen(ctx, 0)
     assert p.canonical_str() == (d_gen(ctx, 0) * x_gen(ctx, 0)).canonical_str()
     assert zero(ctx).canonical_str() == "0"
+
+
+def test_b3_products_render_as_with_fraction_coefficients():
+    # two coupling symbols and halves: the renderings are the ones made when
+    # every coefficient was a Fraction, so ints change no output byte
+    ctx = CherednikContext(build_root_system("B", 3))
+    E = lambda i, j: e_generator(ctx, i, j)
+    assert commutator(E(0, 1), E(1, 0)).canonical_str() == (
+        "1/2*g1*x1^2*w(1,-3,-2) + g2*x1^2*w(1,-2,3) + 1/2*x1^2 + 1/2*g1*x1^2*s(23)"
+        " - 1/2*g1*x2^2*w(-3,2,-1) - g2*x2^2*w(-1,2,3) - 1/2*x2^2 - 1/2*g1*x2^2*s(13)"
+        " + g1*x1*w(-2,-1,3)*D1 + g1*x1*s(12)*D1 - g1*x2*w(-2,-1,3)*D2 - g1*x2*s(12)*D2"
+        " - 1/2*g1*w(1,-3,-2)*D1^2 - g2*w(1,-2,3)*D1^2 - 1/2*D1^2 - 1/2*g1*s(23)*D1^2"
+        " + 1/2*g1*w(-3,2,-1)*D2^2 + g2*w(-1,2,3)*D2^2 + 1/2*D2^2 + 1/2*g1*s(13)*D2^2")
+    assert (E(1, 0) * angular_momentum_ij(ctx, 0, 2)).canonical_str() == (
+        "1/2*x1^2*x2*D3 - 1/2*x1*x2*x3*D1 - 1/2*x1^2*D2*D3 + 1/2*x1*x2*D1*D3"
+        " + 1/2*x1*x3*D1*D2 - 1/2*x2*x3*D1^2 - 1/2*x1*D1*D2*D3 + 1/2*x3*D1^2*D2"
+        " + 1/2*g1*x1*w(1,-3,-2)*D1 - 1/2*g1*x1*s(23)*D1 - 1/2*g1*x1*w(-2,-1,3)*D3"
+        " + 1/2*g1*x1*s(12)*D3 - 1/2*g1*x2*w(-3,2,-1)*D1 + 1/2*g1*x2*s(13)*D1"
+        " + 1/2*g1*x2*w(-3,2,-1)*D3 + g1*x2*w(-2,-1,3)*D3 + g2*x2*w(-1,2,3)*D3"
+        " + 1/2*x2*D3 + g1*x2*s(12)*D3 + 1/2*g1*x2*s(13)*D3 + 1/2*g1*x3*w(-2,-1,3)*D1"
+        " - 1/2*g1*x3*s(12)*D1 + 1/2*g1*w(1,-3,-2)*D1^2 - 1/2*g1*s(23)*D1^2"
+        " + 1/2*g1*w(-3,2,-1)*D1*D2 - 1/2*g1*s(13)*D1*D2 - 1/2*g1*w(-3,2,-1)*D2*D3"
+        " - g2*w(-1,2,3)*D2*D3 - 1/2*D2*D3 - 1/2*g1*s(13)*D2*D3")
+    for c in (E(0, 1) * E(1, 2)).terms.values():
+        assert all(type(v) in (int, Fraction) for v in c.terms.values())

@@ -1,7 +1,10 @@
 """CLI: golden-file byte equality, exit-code contract, determinism."""
 
+import collections
 import json
 import os
+import random
+import re
 
 import pytest
 
@@ -271,3 +274,98 @@ def test_division_by_zero_is_a_parse_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+FUZZ_EXPRESSIONS = [
+    "D[1]*x[1]", "[D[1], x[2]] - g*s[1,2]", "{x[1], D[2]}", "M[1,2]^2 + 3/4*Msq",
+    "x[1]^2*D[2] - 1/2*g*s[1,2]", 'w"2,1"*D[1]*w"-1,-2"', "E[1,2]*E[2,1] - rho",
+    "(x[1] + D[2])*(x[2] - 3/4)", "S[1,2]*Ssum + N*H", "HOmega - M[1,2]*M[1,2]",
+    "1/2*x[1] - 3/2*g^2",
+]
+FUZZ_CONFIGS = [
+    {"rank": 2, "roots": [["1", "-1"]], "orbits": [1], "label": "A1"},
+    {"rank": 2, "roots": [["1", "0"], ["0", "1"], ["1", "-1"], ["1", "1"]],
+     "orbits": [1, 1, 2, 2], "symbols": ["a", "b"], "label": "B2"},
+]
+FUZZ_ALPHABET = "[](){},*+-^/\" 0123xDMEswgHN"
+FUZZ_VALUES = [0, 1, -1, 2, "1/2", "1/0", "x", "", [], {}, None, 2.5, True, [["1"]], ["1", "-1"]]
+
+
+def _mutate(rng, text):
+    """One edit: delete, insert, replace or swap one character, or change one
+    digit or one operator (edits that often keep the input valid)."""
+    k = rng.randrange(len(text) + 1)
+    op = rng.randrange(6)
+    if op >= 4:
+        group = "0123" if op == 4 else "+-*"
+        spots = [i for i, ch in enumerate(text) if ch in group]
+        if spots:
+            k = rng.choice(spots)
+            return text[:k] + rng.choice(group) + text[k + 1:]
+    if op == 0 and k < len(text):
+        return text[:k] + text[k + 1:]
+    if op == 1:
+        return text[:k] + rng.choice(FUZZ_ALPHABET) + text[k:]
+    if op == 2 and k < len(text):
+        return text[:k] + rng.choice(FUZZ_ALPHABET) + text[k + 1:]
+    if k + 1 < len(text):
+        return text[:k] + text[k + 1] + text[k] + text[k + 2:]
+    return text
+
+
+def _mutate_config(rng, config):
+    """Either one character edit of the JSON text, or one field (or one
+    entry of the root list, or the whole config) replaced by a value from
+    FUZZ_VALUES."""
+    if rng.random() < 0.1:
+        return json.dumps(rng.choice(FUZZ_VALUES))
+    if rng.random() < 0.5:
+        return _mutate(rng, json.dumps(config))
+    config = json.loads(json.dumps(config))
+    key = rng.choice(sorted(config))
+    if key == "roots" and rng.random() < 0.6:
+        row = rng.choice(config["roots"])
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_VALUES)
+    else:
+        config[key] = rng.choice(FUZZ_VALUES)
+    return json.dumps(config)
+
+
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys):
+    # mutated expressions, couplings and configs at rank 2: every run ends
+    # with exit code 0, 1 or 2 and no traceback, and a rejection is one line
+    rng = random.Random(20141)
+    cases = []
+    while len(cases) < 300:
+        text = FUZZ_EXPRESSIONS[len(cases) % len(FUZZ_EXPRESSIONS)]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            text = _mutate(rng, text)
+        if any(int(p) > 4 for p in re.findall(r"\^\s*(\d+)", text)):
+            continue    # a valid high power is slow, not wrong; keep the run short
+        argv = ["normal-form", "--group", rng.choice("AB"), "--rank", "2",
+                "--mode", rng.choice(("cherednik", "cherednik", "so", "gl"))]
+        if rng.random() < 0.2:
+            argv.append("--numeric-g=" + _mutate(rng, rng.choice(("1/2", "3", "1,2"))))
+        cases.append(argv + ["--", text])
+    for k in range(150):
+        path = tmp_path / ("c%d.json" % k)
+        path.write_text(_mutate_config(rng, FUZZ_CONFIGS[k % len(FUZZ_CONFIGS)]))
+        cases.append(["normal-form", "--group", "custom:%s" % path, "--rank", "2", "--",
+                      rng.choice(FUZZ_EXPRESSIONS[:3])])
+    codes = collections.Counter()
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: no argv here should reach it
+            code = ("argparse", exc.code)
+        captured = capsys.readouterr()
+        codes[code] += 1
+        assert code in (0, 1, 2), (argv, code, captured.err)
+        assert "Traceback" not in captured.err, argv
+        if code == 2:
+            assert captured.out == "", argv
+            assert captured.err.count("\n") == 1, (argv, captured.err)
+            assert captured.err.startswith("error: "), (argv, captured.err)
+        else:
+            assert captured.out and captured.err == "", argv
+    assert codes[0] >= 40 and codes[2] >= 40, codes   # both paths are exercised

@@ -1,5 +1,6 @@
 """Substrate tests: ring axioms, exact division, fraction-free linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from dunklalg.exactmath import (
     NotDivisible,
     XPoly,
     _generic_point,
+    _sparse_echelon,
     add_term,
     coeff_gcd,
     grevlex_key,
@@ -635,3 +637,162 @@ def test_locpoly_reduction_matches_reference(case):
         i = rng.randrange(len(roots[0]))
         df = f.derivative(i)
         assert (df.num, df.den) == _reference_derivative(f, i)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient values: an int when integral, else a Fraction, never a float
+# ---------------------------------------------------------------------------
+
+def exact_terms(p):
+    """p's term map, after checking that every value is an int or a Fraction,
+    and an int when it is integral."""
+    for v in p.terms.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), p.terms
+    return p.terms
+
+
+def test_divexact_of_integers_gives_exact_quotients():
+    p = CoeffPoly(1, {(1,): 2, (0,): 3})                       # 2g + 3
+    q = p.divexact(CoeffPoly.const(3, 1))
+    assert exact_terms(q) == {(1,): Fraction(2, 3), (0,): 1}
+    g1, g2 = CoeffPoly.symbol(0, 2), CoeffPoly.symbol(1, 2)
+    num = g1 * g2 * 6 + g2 * 4                                 # 6 g1 g2 + 4 g2
+    assert exact_terms(num.divexact(g1 * 3 + 2)) == {(0, 1): 2}
+    assert exact_terms(num.divexact(g2 * 9)) == {(1, 0): Fraction(2, 3), (0, 0): Fraction(4, 9)}
+
+
+def test_primitive_and_content_of_integers_stay_ints():
+    p = CoeffPoly(1, {(2,): -6, (1,): 4, (0,): 10})
+    assert p.content() == 2 and type(p.content()) is int
+    assert exact_terms(p.primitive()) == {(2,): 3, (1,): -2, (0,): -5}
+    q = CoeffPoly(1, {(1,): Fraction(2, 3), (0,): Fraction(4, 9)})
+    assert q.content() == Fraction(2, 9)
+    assert exact_terms(q.primitive()) == {(1,): 3, (0,): 2}
+    r = CoeffPoly(1, {(1,): 9, (0,): 6}) * Fraction(1, 7)      # (9g + 6)/7
+    assert r.content() == Fraction(3, 7)
+    assert exact_terms(r.primitive()) == {(1,): 3, (0,): 2}
+
+
+def test_coeff_gcd_of_integers_one_symbol():
+    g = CoeffPoly.symbol(0, 1)
+    a = (g + 1) * (g - 2) * 2
+    b = (g + 1) * g * 3
+    assert exact_terms(coeff_gcd(a, b)) == {(1,): 1, (0,): 1}
+    assert exact_terms(coeff_gcd(g * 3 + 2, g * 6)) == {(0,): 1}
+    assert exact_terms(coeff_gcd(CoeffPoly.zero(1), g * 6 - 9)) == {(1,): 2, (0,): -3}
+
+
+def test_coeff_gcd_of_integers_two_symbols():
+    g1, g2 = CoeffPoly.symbol(0, 2), CoeffPoly.symbol(1, 2)
+    a = g1 * g2 * 4 + g1 * 6
+    assert exact_terms(coeff_gcd(a, g1 * g1 * 6)) == {(1, 0): 2}
+    assert exact_terms(coeff_gcd(CoeffPoly.zero(2), g1 * 9 - g2 * 6)) == {(1, 0): 3, (0, 1): -2}
+    assert exact_terms(coeff_gcd(g1 * 3 - g2 * 3, CoeffPoly.zero(2))) == {(1, 0): 1, (0, 1): -1}
+
+
+def test_locpoly_reduction_by_integer_roots_gives_exact_quotients():
+    # roots as plain ints whose leading entry is 3: each quotient is over 3
+    roots = ((3, -3, 0), (3, 0, -3), (0, 3, -3))
+    x1, x2, x3 = (XPoly.variable(i, 3, 1) for i in range(3))
+    f = LocPoly(roots, x1 - x2, {0: 1})                        # (x1 - x2)/(3x1 - 3x2)
+    assert f.den == {} and f.num == XPoly.const(Fraction(1, 3), 3, 1)
+    h = LocPoly(roots, (x1 - x2) * (x1 + x3 * 2), {0: 2, 2: 1})
+    third = XPoly.const(Fraction(1, 3), 3, 1)
+    assert h.den == {0: 1, 2: 1} and h.num == (x1 + x3 * 2) * third
+    s = h + LocPoly(roots, x2 - x3, {2: 1})                    # + 1/3, lifted to h's den
+    for p in (f.num, h.num, s.num):
+        for c in p.terms.values():
+            exact_terms(c)
+    assert s.den == {0: 1, 2: 1}
+    assert s.num == h.num + (x1 - x2) * (x2 - x3) * XPoly.const(3, 3, 1)
+
+
+def test_sparse_echelon_pivot_rows_of_integer_rows_are_primitive():
+    # every row has content 3 or 6: each pivot row is its row over the content
+    rng = random.Random(71)
+    g = CoeffPoly.symbol(0, 1)
+    rows = []
+    for _ in range(6):
+        k = rng.choice((3, 6))
+        rows.append({c: (g * rng.randint(-4, 4) + rng.randint(1, 5)) * k
+                     for c in rng.sample(range(5), 3)})
+    for row in _sparse_echelon(rows).values():
+        for p in row.values():
+            exact_terms(p)
+        assert math.gcd(*(v for p in row.values() for v in p.terms.values())) == 1
+
+
+def test_sparse_nullspace_of_integer_rows_gives_primitive_int_vectors():
+    three, six, nine = (CoeffPoly.const(k, 0) for k in (3, 6, 9))
+    zero = CoeffPoly.zero(0)
+    basis = nullspace([[three, six, zero], [zero, three, nine]])
+    assert [[exact_terms(p) for p in vec] for vec in basis] == [[{(): 6}, {(): -3}, {(): 1}]]
+    rng = random.Random(73)
+    g = CoeffPoly.symbol(0, 1)
+    zero = CoeffPoly.zero(1)
+    seen = 0
+    for _ in range(10):
+        ncols = rng.randint(3, 6)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            row = [zero] * ncols
+            for c in rng.sample(range(ncols), rng.randint(2, ncols)):
+                row[c] = (g * rng.randint(-3, 3) + rng.randint(-5, 5)) * 3
+            rows.append(row)
+        basis = nullspace(rows)
+        for vec in basis:
+            assert all(p.is_zero() for p in matrix_apply(rows, vec))
+            lead = next(p for p in vec if not p.is_zero())
+            assert lead.leading()[1] > 0
+            values = [v for p in vec for v in exact_terms(p).values()]
+            assert all(type(v) is int for v in values) and math.gcd(*values) == 1
+            seen += 1
+        point = [Fraction(rng.randint(2, 40), rng.randint(1, 7))]
+        assert len(basis) == ncols - rank_at_specialization(rows, point)
+    assert seen > 10
+
+
+def test_int_and_fraction_values_are_interchangeable():
+    two_f = CoeffPoly(1, {(0,): Fraction(2)})
+    two_i = CoeffPoly(1, {(0,): 2})
+    assert two_f == two_i and two_f.key() == two_i.key()
+    assert two_f.render(("g",)) == two_i.render(("g",)) == "2"
+    made = CoeffPoly.const(Fraction(2), 1)
+    assert made == two_i and type(made.terms[(0,)]) is int
+    g = CoeffPoly.symbol(0, 1)
+    half = g * Fraction(1, 2)
+    assert (half * 2).terms == {(1,): 1} and type((half * 2).terms[(1,)]) is int
+    assert (half + half).render(("g",)) == "g"
+    # a float given as a number converts exactly and is never stored
+    assert exact_terms(CoeffPoly.const(0.5, 1)) == {(0,): Fraction(1, 2)}
+    assert exact_terms(g * 0.25) == {(1,): Fraction(1, 4)}
+
+
+def test_unit_products_share_the_other_operand():
+    g = CoeffPoly.symbol(0, 1)
+    p = g * 3 + Fraction(1, 2)
+    one = CoeffPoly.one(1)
+    assert one * p is p and p * one is p and p * 1 is p
+    assert (-one) * p == -p and p * -1 == -p
+    assert p * CoeffPoly.zero(1) == CoeffPoly.zero(1) and not p * 0
+
+
+def test_rows_from_int_and_fraction_values_dedupe_to_one(monkeypatch):
+    from dunklalg import exactmath
+
+    seen = []
+    real = exactmath._mod_pivot_rows
+
+    def counted(rows, point):
+        seen.append(len(rows))
+        return real(rows, point)
+
+    monkeypatch.setattr(exactmath, "_mod_pivot_rows", counted)
+    g = CoeffPoly.symbol(0, 1)
+    row_f = {0: CoeffPoly(1, {(1,): Fraction(2), (0,): Fraction(1, 2)}),
+             1: CoeffPoly(1, {(0,): Fraction(-3)})}
+    row_i = {0: CoeffPoly(1, {(1,): 2, (0,): Fraction(1, 2)}),
+             1: CoeffPoly(1, {(0,): -3})}
+    basis, forced = sparse_nullspace([row_f, row_i], 2, 1)
+    assert seen == [1] and forced == []
+    assert basis == [[CoeffPoly.const(6, 1), g * 4 + 1]]
