@@ -8,8 +8,10 @@ coefficients. The generators obey
 
 and multiplication renormalizes products by commuting single D factors
 across single x factors, inserting group-algebra terms from the S pairing.
-The single-step products are memoized per context; the memo is the only
-shared state and is a read-mostly cache, so concurrent use is safe.
+The single-step products are memoized per context, and moving x^a or D^b
+across a group element uses the root system's memoized ``act_exp``. These
+memos are the only shared state. Each is a read-mostly cache of immutable
+values that depend only on their key, so concurrent use is safe.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -59,7 +61,6 @@ class CherednikContext:
         self._s_terms: dict[tuple[int, int], tuple[tuple[GroupElement, CoeffPoly], ...]] = {}
         self._dix: dict = {}
         self._dbx: dict = {}
-        self._act: dict = {}
         self._named: dict = {}
 
     def s_terms(self, i: int, j: int) -> tuple[tuple[GroupElement, CoeffPoly], ...]:
@@ -72,39 +73,6 @@ class CherednikContext:
                         self.rs, self.gmap)
             cached = tuple(ga.terms.items())
             self._s_terms[key] = cached
-        return cached
-
-    def act_exp(self, w: GroupElement, a: tuple[int, ...]):
-        """Expansion of w x^a w^{-1} as ((coefficient, exponent), ...)."""
-        if w.perm is not None:
-            key = (w, a)
-            cached = self._act.get(key)
-            if cached is None:
-                out = [0] * self.n
-                sign = 1
-                for j, p in enumerate(a):
-                    if p:
-                        out[w.perm[j]] = p
-                        if w.signs[j] != 1 and p % 2:
-                            sign = -sign
-                cached = ((sign, tuple(out)),)
-                self._act[key] = cached
-            return cached
-        key = (w, a)
-        cached = self._act.get(key)
-        if cached is None:
-            terms = {self.zero_exp: 1}
-            for j, p in enumerate(a):
-                for _ in range(p):
-                    new: dict[tuple[int, ...], Fraction] = {}
-                    for exp, c in terms.items():
-                        for k, v in enumerate(w.cols[j]):
-                            if v:
-                                key2 = _bump(exp, k)
-                                new[key2] = new.get(key2, 0) + c * v
-                    terms = {e2: c for e2, c in new.items() if c}
-            cached = tuple((c, e2) for e2, c in terms.items())
-            self._act[key] = cached
         return cached
 
     def _di_x(self, i: int, c: tuple[int, ...]):
@@ -123,7 +91,7 @@ class CherednikContext:
         for coef, a, w, flag in self._di_x(i, c2):
             out.append((coef, _bump(a, j), w, flag))
         for w, kappa in self.s_terms(i, j):
-            for f, a in self.act_exp(w, c2):
+            for f, a in self.rs.act_exp(w, c2):
                 out.append((kappa * f if f != 1 else kappa, a, w, False))
         cached = tuple(out)
         self._dix[key] = cached
@@ -146,7 +114,7 @@ class CherednikContext:
                 cc = coef * coef2
                 if flag:
                     # the surviving D_i still has to cross u
-                    for f, db in self.act_exp(u.inverse(), _bump(self.zero_exp, i)):
+                    for f, db in self.rs.act_exp(u.inverse(), _bump(self.zero_exp, i)):
                         bout = tuple(x + y for x, y in zip(db, beta))
                         add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
                 else:
@@ -159,14 +127,14 @@ class CherednikContext:
         """Normal form of (x^a1 w1 D^b1) (x^a2 w2 D^b2) as (key, coeff) pairs."""
         w2inv = w2.inverse()
         for coef, alpha, u, beta in self.db_x(b1, a2):
-            for f1, ax in self.act_exp(w1, alpha):
+            for f1, ax in self.rs.act_exp(w1, alpha):
                 a_out = tuple(x + y for x, y in zip(a1, ax))
                 w_out = (w1 * u) * w2
                 c1 = coef * f1 if f1 != 1 else coef
                 if beta == self.zero_exp:
                     yield (a_out, w_out, b2), c1
                 else:
-                    for f2, bx in self.act_exp(w2inv, beta):
+                    for f2, bx in self.rs.act_exp(w2inv, beta):
                         b_out = tuple(x + y for x, y in zip(bx, b2))
                         yield (a_out, w_out, b_out), (c1 * f2 if f2 != 1 else c1)
 
@@ -458,7 +426,7 @@ def adjoint(p: PBWElement) -> PBWElement:
     for (a, w, b), c in p.terms.items():
         winv = w.inverse()
         sign = -1 if sum(b) % 2 else 1
-        for f, b2 in ctx.act_exp(w, b):
+        for f, b2 in ctx.rs.act_exp(w, b):
             c0 = c * (sign * f)
             for key, c2 in ctx.term_mul(ctx.zero_exp, winv, b2, a, ctx.e, ctx.zero_exp):
                 add_term(acc, key, c0 * c2)

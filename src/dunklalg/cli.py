@@ -33,7 +33,7 @@ from .subalgebra import (
     enumerate_basis_gl,
     enumerate_basis_so,
 )
-from .suites import SUITES, centre_suite, run_suite
+from .suites import SUITES, centre_suite, default_degree, run_suite
 
 
 def _degree(text: str) -> int:
@@ -146,7 +146,7 @@ def cmd_basis(args) -> int:
 
 def cmd_centre(args) -> int:
     ctx, family, rank = build_context(args)
-    degree = args.degree if args.degree is not None else (4 if args.mode == "so" else 2)
+    degree = args.degree if args.degree is not None else default_degree("centre", args.mode, ctx)
     solutions, aux = centralizer(args.mode, ctx, degree)
     results = centre_suite(args.mode, ctx, degree, (solutions, aux))
     report = Report(check="centre", family=family, rank=rank,

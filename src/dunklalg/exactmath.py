@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -532,35 +531,13 @@ class XPoly:
                 out = out + self.derivative(i).scaled(v)
         return out
 
-    def substitute_linear(self, images: Sequence[XPoly]) -> XPoly:
-        """Substitute x_i -> images[i] (used for general group actions)."""
-        out = XPoly.zero(self.nvars, self.nsym)
-        cache: dict[tuple[int, int], XPoly] = {}
+    def map_monomials(self, image) -> XPoly:
+        """The image under a map given on monomials: image(e) lists the
+        image of x^e as ((rational, exponent), ...)."""
+        out: dict[tuple[int, ...], CoeffPoly] = {}
         for e, c in self.terms.items():
-            term = XPoly.const(c, self.nvars, self.nsym)
-            for i, p in enumerate(e):
-                if p:
-                    key = (i, p)
-                    powed = cache.get(key)
-                    if powed is None:
-                        powed = images[i] ** p
-                        cache[key] = powed
-                    term = term * powed
-            out = out + term
-        return out
-
-    def apply_signed(self, perm: Sequence[int], signs: Sequence[Fraction]) -> XPoly:
-        """Fast path for signed-permutation actions: x_i -> signs[i]*x_perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            new = [0] * self.nvars
-            sign = 1
-            for i, p in enumerate(e):
-                if p:
-                    new[perm[i]] = p
-                    if signs[i] != 1 and p % 2:
-                        sign = -sign
-            add_term(out, tuple(new), c if sign == 1 else c * sign)
+            for r, e2 in image(e):
+                add_term(out, e2, c if r == 1 else c * r)
         return XPoly(self.nvars, self.nsym, out)
 
     def try_divide(self, q: XPoly) -> XPoly | None:
@@ -673,15 +650,6 @@ def poly_divide_exact(p: XPoly, q: XPoly) -> XPoly:
 # ---------------------------------------------------------------------------
 # LocPoly: polynomials divided by products of root linear forms
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)  # one entry per root system in use
-def _root_lookup(roots: tuple[tuple[Fraction, ...], ...]) -> dict[tuple[Fraction, ...], tuple[int, int]]:
-    table: dict[tuple[Fraction, ...], tuple[int, int]] = {}
-    for i, r in enumerate(roots):
-        table[r] = (i, 1)
-        table[tuple(-c for c in r)] = (i, -1)
-    return table
-
 
 class LocPoly:
     """XPoly divided by a product of powers of the root linear forms (alpha, x).
@@ -796,27 +764,20 @@ class LocPoly:
         den = {idx: m + 1 for idx, m in self.den.items()}
         return LocPoly(self.roots, num, den)
 
-    def apply_linear(self, cols: Sequence[Sequence[Fraction]],
-                     perm: Sequence[int] | None = None,
-                     signs: Sequence[Fraction] | None = None) -> LocPoly:
-        """Apply a group element (f -> f o w^{-1}); cols[j] is the image of e_j."""
-        if perm is not None:
-            num = self.num.apply_signed(perm, signs)
-        else:
-            images = [XPoly.linear_form(c, self.num.nsym) for c in cols]
-            num = self.num.substitute_linear(images)
-        lookup = _root_lookup(self.roots)
+    def act(self, image, root_images: Sequence[int]) -> LocPoly:
+        """Apply a group element w (f -> f o w^{-1}): image(e) expands w x^e
+        as in XPoly.map_monomials, and root_images[k] is the index of w(root
+        k) in the list of the roots followed by their negatives."""
+        num = self.num.map_monomials(image)
+        m = len(self.roots)
         den: dict[int, int] = {}
-        for idx, m in self.den.items():
-            image = tuple(sum(cols[j][k] * self.roots[idx][j] for j in range(len(cols)))
-                          for k in range(len(cols)))
-            hit = lookup.get(image)
-            if hit is None:
-                raise ValueError("group element does not preserve the root set")
-            jdx, sign = hit
-            den[jdx] = den.get(jdx, 0) + m
-            if sign < 0 and m % 2:
-                num = -num
+        for idx, power in self.den.items():
+            jdx = root_images[idx]
+            if jdx >= m:
+                jdx -= m
+                if power % 2:
+                    num = -num
+            den[jdx] = den.get(jdx, 0) + power
         return LocPoly(self.roots, num, den, reduce=False)
 
     def render(self, symbol_names: Sequence[str]) -> str:

@@ -18,6 +18,7 @@ printed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations as _permutations
 from typing import Iterable, Sequence
 
@@ -34,7 +35,7 @@ def _dot(a, b) -> Fraction:
 
 
 class DunklContext:
-    """Root system, coupling map, and the cached monomial reflection actions."""
+    """Root system and coupling map of the polynomial representation."""
 
     def __init__(self, rs: RootSystem, gmap: MultiplicityMap | None = None):
         self.rs = rs
@@ -42,7 +43,6 @@ class DunklContext:
         self.n = rs.rank
         self.nsym = self.gmap.nsym
         self.roots = rs.positive_roots
-        self._refl_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
     @staticmethod
     def of(ctx: CherednikContext) -> DunklContext:
@@ -58,22 +58,7 @@ class DunklContext:
         return XPoly.monomial(exp, self.n, self.nsym)
 
     def act_group(self, w: GroupElement, p: XPoly) -> XPoly:
-        if w.perm is not None:
-            return p.apply_signed(w.perm, w.signs)
-        images = [XPoly.linear_form(col, self.nsym) for col in w.cols]
-        return p.substitute_linear(images)
-
-    def reflect(self, root_index: int, p: XPoly) -> XPoly:
-        out = self.zero_poly()
-        s = self.rs.reflection(root_index)
-        for exp, c in p.terms.items():
-            key = (root_index, exp)
-            img = self._refl_cache.get(key)
-            if img is None:
-                img = self.act_group(s, self.monomial(exp))
-                self._refl_cache[key] = img
-            out = out + img.scaled(c)
-        return out
+        return p.map_monomials(partial(self.rs.act_exp, w))
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence, p: XPoly) -> XPoly:
@@ -84,7 +69,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence, p: XPoly) -> XPoly:
         axi = _dot(alpha, xi)
         if not axi:
             continue
-        diff = p - ctx.reflect(i, p)
+        diff = p - ctx.act_group(ctx.rs.reflection(i), p)
         if diff.is_zero():
             continue
         quot = diff.div_linear(alpha)
@@ -148,7 +133,8 @@ def to_loc(ctx: DunklContext, p: XPoly) -> LocPoly:
 
 
 def loc_act_group(ctx: DunklContext, w: GroupElement, f: LocPoly) -> LocPoly:
-    return f.apply_linear(w.cols, w.perm, w.signs)
+    """The action of an element of W, which permutes the denominator forms."""
+    return f.act(partial(ctx.rs.act_exp, w), w.roots)
 
 
 class NablaOperator:
@@ -314,7 +300,7 @@ def restrict_check(ctx: DunklContext, degree_bound: int) -> CheckResult:
             # S p = -+ g N(N-1)/2 p
             sp = ctx.zero_poly()
             for i in range(len(ctx.roots)):
-                sp = sp + ctx.reflect(i, p).scaled(-g)
+                sp = sp + ctx.act_group(ctx.rs.reflection(i), p).scaled(-g)
             expected = p.scaled(scal * (-sign))
             result.instances += 1
             if not (sp - expected).is_zero():

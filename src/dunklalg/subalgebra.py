@@ -163,13 +163,8 @@ def _chain_sorted(pairs: Sequence[Pair]) -> bool:
 # Basis enumeration (plus the deliberately separate combinatorial counters)
 # ---------------------------------------------------------------------------
 
-def enumerate_basis_so(n: int, d: int, tail: GroupElement | None = None,
-                       ctx: CherednikContext | None = None) -> list[SubWord]:
+def enumerate_basis_so(n: int, d: int, tail: GroupElement) -> list[SubWord]:
     """Ordered non-crossing monomials of total degree exactly d."""
-    if tail is None:
-        if ctx is None:
-            raise ValueError("need a tail or a context for the identity")
-        tail = ctx.e
     gens = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
     for combo in combinations_with_replacement(gens, d):
@@ -178,13 +173,8 @@ def enumerate_basis_so(n: int, d: int, tail: GroupElement | None = None,
     return out
 
 
-def enumerate_basis_gl(n: int, d: int, tail: GroupElement | None = None,
-                       ctx: CherednikContext | None = None) -> list[SubWord]:
+def enumerate_basis_gl(n: int, d: int, tail: GroupElement) -> list[SubWord]:
     """Words with both index sequences weakly increasing, total degree d."""
-    if tail is None:
-        if ctx is None:
-            raise ValueError("need a tail or a context for the identity")
-        tail = ctx.e
     gens = [(i, j) for i in range(n) for j in range(n)]
     out = []
     for combo in combinations_with_replacement(sorted(gens), d):
@@ -242,6 +232,7 @@ class SubAlgebra:
         self.max_degree = max_degree
         self._memo: dict[tuple[Pair, ...], dict[tuple[tuple[Pair, ...], GroupElement], CoeffPoly]] = {}
         self._embed_cache: dict[SubWord, PBWElement] = {}
+        self._conj: dict[tuple[GroupElement, Pair], tuple[tuple[Pair, Fraction], ...]] = {}
 
     # -- generator-level data --------------------------------------------------
 
@@ -264,50 +255,26 @@ class SubAlgebra:
         """w (word) w^{-1} as a combination of words: [(pairs, coeff), ...]."""
         if w.is_identity() or not pairs:
             return [(tuple(pairs), self.ctx.one)]
-        if w.perm is not None:
-            sign = 1
-            out = []
-            for (i, j) in pairs:
-                ii, jj = w.perm[i], w.perm[j]
-                sign *= w.signs[i] * w.signs[j]
-                norm = self.norm_pair(ii, jj)
-                if norm is None:
-                    return []
-                s2, pair = norm
-                sign *= s2
-                out.append(pair)
-            return [(tuple(out), self.ctx.one * sign)]
-        results = [((), self.ctx.one)]
-        for (i, j) in pairs:
-            expansion = self._conj_general(w, i, j)
-            new = []
-            for (acc, c0) in results:
-                for (pair, c1) in expansion:
-                    new.append((acc + (pair,), c0 * c1))
-            results = new
-        return results
+        results = [((), 1)]
+        for pair in pairs:
+            results = [(acc + (p2,), c0 * c1) for (acc, c0) in results
+                       for (p2, c1) in self._conj_one(w, pair)]
+        return [(acc, self.ctx.one * c) for (acc, c) in results]
 
-    def _conj_general(self, w: GroupElement, i: int, j: int):
-        xi = w.cols[i]
-        eta = w.cols[j]
-        n = self.ctx.n
-        out = []
-        if self.family == "so":
-            for k in range(n):
-                for l in range(k + 1, n):
-                    c = xi[k] * eta[l] - xi[l] * eta[k]
-                    if c:
-                        out.append(((k, l), self.ctx.one * c))
-        else:
-            for k in range(n):
-                for l in range(n):
-                    c = xi[k] * eta[l]
-                    if c:
-                        out.append(((k, l), self.ctx.one * c))
-        return out
-
-    def s_terms(self, i: int, j: int):
-        return self.ctx.s_terms(i, j)
+    def _conj_one(self, w: GroupElement, pair: Pair):
+        """w gen_pair w^{-1} as ((pair, rational), ...) in pair order: the
+        generator of (w e_i, w e_j), expanded through norm_pair."""
+        key = (w, pair)
+        cached = self._conj.get(key)
+        if cached is None:
+            acc: dict[Pair, Fraction] = {}
+            for k, a in enumerate(w.cols[pair[0]]):
+                for l, b in enumerate(w.cols[pair[1]]):
+                    norm = self.norm_pair(k, l)
+                    if a and b and norm is not None:
+                        add_term(acc, norm[1], norm[0] * a * b)
+            cached = self._conj.setdefault(key, tuple(sorted(acc.items())))
+        return cached
 
     # -- relation right-hand sides ---------------------------------------------
 
@@ -364,11 +331,8 @@ class SubAlgebra:
         """
         for (sign, left, mid, right) in corrections:
             if left is not None:
-                for (w, kappa) in self.s_terms(*left):
-                    norm = self._conj_one(w, mid)
-                    if norm is None:
-                        continue
-                    for (mid2, cmid) in norm:
+                for (w, kappa) in self.ctx.s_terms(*left):
+                    for (mid2, cmid) in self._conj_one(w, mid):
                         self._push_word(acc, prefix + (mid2,), w, suffix,
                                         coeff * kappa * cmid * sign)
             else:
@@ -376,21 +340,9 @@ class SubAlgebra:
                 if normed is None:
                     continue
                 s2, mid2 = normed
-                for (w, kappa) in self.s_terms(*right):
+                for (w, kappa) in self.ctx.s_terms(*right):
                     self._push_word(acc, prefix + (mid2,), w, suffix,
                                     coeff * kappa * (sign * s2))
-
-    def _conj_one(self, w: GroupElement, pair: Pair):
-        """Conjugate a single generator: w gen_pair w^{-1}."""
-        if w.perm is not None:
-            ii, jj = w.perm[pair[0]], w.perm[pair[1]]
-            sign = w.signs[pair[0]] * w.signs[pair[1]]
-            norm = self.norm_pair(ii, jj)
-            if norm is None:
-                return None
-            s2, p2 = norm
-            return [(p2, self.ctx.one * (sign * s2))]
-        return self._conj_general(w, *pair)
 
     def _push_word(self, acc, prefix, w, suffix, coeff):
         """Record prefix . w . suffix as words with the group moved right."""
@@ -783,7 +735,7 @@ def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
         for w in alg.ctx.rs.group():
             row: dict[int, CoeffPoly] = {}
             for (p2, c) in alg._conj_one(w, pair):
-                add_term(row, col[p2], c)
+                add_term(row, col[p2], one * c)
             rows.setdefault(tuple(sorted((k, c.key()) for k, c in row.items())), row)
         rank = sparse_rank_symbolic(rows.values())
     return kept

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -466,21 +467,17 @@ def loc(p, den=None):
 def test_locpoly_reflection_negates_own_root():
     one = XPoly.one(3, 1)
     f = loc(one, {0: 1})        # 1/(x1-x2)
-    # s12 as signed permutation data
-    class S:
-        cols = ((Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1)))
-        perm = (1, 0, 2)
-        signs = (Fraction(1), Fraction(1), Fraction(1))
-    g = f.apply_linear(S.cols, S.perm, S.signs)
+    # s12, the reflection in the first root of the same root list
+    rs = build_root_system("A", 3)
+    s = rs.reflection(0)
+    g = f.act(partial(rs.act_exp, s), s.roots)
     assert g == loc(-one, {0: 1})
     # x1 -> x2
     fx = loc(XPoly.variable(0, 3, 1))
-    assert fx.apply_linear(S.cols, S.perm, S.signs) == loc(XPoly.variable(1, 3, 1))
+    assert fx.act(partial(rs.act_exp, s), s.roots) == loc(XPoly.variable(1, 3, 1))
     # x1/(x1-x3) -> x2/(x2-x3)
     fq = loc(XPoly.variable(0, 3, 1), {1: 1})
-    gq = fq.apply_linear(S.cols, S.perm, S.signs)
+    gq = fq.act(partial(rs.act_exp, s), s.roots)
     assert gq == loc(XPoly.variable(1, 3, 1), {2: 1})
 
 

@@ -1,18 +1,27 @@
-"""Group elements against an independent Fraction-matrix oracle.
+"""Group elements and their actions against independent Fraction-matrix oracles.
 
 Every product of two elements of W is checked against the plain matrix
 product of their columns, and every inverse is checked on both sides. The
-rotated B2 system has no signed permutations besides ±1, so its products go
-through general matrices.
+action of W on monomials, on localized polynomials and on the generators of
+the angular-momenta subalgebras is checked against matrix substitution and
+against conjugation in H_c. In the rotated B2 and B3 systems most elements
+are not signed permutations, so their products and actions go through
+general matrices.
 """
 
+import itertools
+import random
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from dunklalg.cherednik import CherednikContext, group
 from dunklalg.coxeter import build_root_system, load_root_system
+from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term
+from dunklalg.subalgebra import SubElement, SubWord, embed, get_subalgebra
 
 ROT = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))  # columns
 
@@ -32,23 +41,28 @@ def matmul(a_cols, b_cols):
     return tuple(out)
 
 
-def rotated_b2():
-    base = build_root_system("B", 2)
-    roots = [tuple(ROT[0][k] * r[0] + ROT[1][k] * r[1] for k in range(2))
+def rotated_b(n):
+    """B_n with its first two coordinates rotated by ROT."""
+    base = build_root_system("B", n)
+    roots = [tuple(ROT[0][k] * r[0] + ROT[1][k] * r[1] for k in range(2)) + r[2:]
              for r in base.positive_roots]
     return load_root_system({
-        "rank": 2,
+        "rank": n,
         "roots": [[str(c) for c in r] for r in roots],
         "orbits": [o + 1 for o in base.orbit_of],
-        "label": "B2-rotated",
+        "label": "B%d-rotated" % n,
     })
 
 
+# The elements of B2-rotated that are not signed permutations are its four
+# reflections, whose matrices are symmetric; B3-rotated also has rotations
+# that are not signed permutations.
 SYSTEMS = {
     "A3": lambda: build_root_system("A", 3),
     "B3": lambda: build_root_system("B", 3),
     "D4": lambda: build_root_system("D", 4),
-    "B2-rotated": rotated_b2,
+    "B2-rotated": lambda: rotated_b(2),
+    "B3-rotated": lambda: rotated_b(3),
 }
 
 
@@ -134,3 +148,103 @@ def test_racing_threads_get_the_same_elements():
     for seen in found:
         assert len(seen) == 48
         assert all(seen[w.cols] is w for w in grp)
+
+
+# -- the monomial action against a Fraction-matrix substitution oracle ---------
+
+def substitute_linear(p, images):
+    """Substitute x_i -> images[i] in the XPoly p, power by power."""
+    out = XPoly.zero(p.nvars, p.nsym)
+    for e, c in p.terms.items():
+        term = XPoly.const(c, p.nvars, p.nsym)
+        for i, k in enumerate(e):
+            if k:
+                term = term * images[i] ** k
+        out = out + term
+    return out
+
+
+def matrix_action(w, p):
+    return substitute_linear(p, [XPoly.linear_form(col, p.nsym) for col in w.cols])
+
+
+def monomials(n, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+
+
+def check_act_exp(rs, w):
+    n = rs.rank
+    for a in monomials(n, 3):
+        image = XPoly(n, 0)
+        for c, e in rs.act_exp(w, a):
+            add_term(image.terms, e, CoeffPoly.const(c, 0))
+        assert image == matrix_action(w, XPoly.monomial(a, n, 0))
+        assert XPoly.monomial(a, n, 0).map_monomials(partial(rs.act_exp, w)) == image
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "B2-rotated", "B3-rotated"])
+def test_act_exp_matches_matrix_substitution(name):
+    rs = SYSTEMS[name]()
+    for w in rs.group():
+        check_act_exp(rs, w)
+
+
+def test_act_exp_outside_w_matches_matrix_substitution():
+    rs = build_root_system("A", 3)
+    w = rs.element(tuple(tuple(Fraction(-int(i == j)) for i in range(3)) for j in range(3)))
+    assert w.roots is None and w.render() == "w(-1,-2,-3)"
+    check_act_exp(rs, w)
+
+
+def matrix_loc_action(w, f):
+    """The image of f under w: the numerator by substitution, each
+    denominator form (alpha, x) as (w alpha, x) found by value."""
+    lookup = {}
+    for i, r in enumerate(f.roots):
+        lookup[r] = (i, 1)
+        lookup[tuple(-c for c in r)] = (i, -1)
+    num = matrix_action(w, f.num)
+    den = {}
+    for idx, m in f.den.items():
+        jdx, sign = lookup[w.apply(f.roots[idx])]
+        den[jdx] = den.get(jdx, 0) + m
+        if sign < 0 and m % 2:
+            num = -num
+    return LocPoly(f.roots, num, den, reduce=False)
+
+
+@pytest.mark.parametrize("name", ["B3", "B3-rotated"])
+def test_locpoly_action_matches_matrix_denominators(name):
+    rs = SYSTEMS[name]()
+    rng = random.Random(2024)
+    samples = []
+    for _ in range(4):
+        num = XPoly(3, 2)
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(3))
+            c = CoeffPoly.symbol(rng.randrange(2), 2) * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            add_term(num.terms, e, c + CoeffPoly.const(rng.randint(-2, 2), 2))
+        forms = rng.sample(range(len(rs.positive_roots)), rng.randint(2, 3))
+        samples.append(LocPoly(rs.positive_roots, num, {k: rng.randint(1, 2) for k in forms}))
+    assert all(len(f.den) >= 2 for f in samples)
+    for w in rs.group():
+        for f in samples:
+            assert f.act(partial(rs.act_exp, w), w.roots) == matrix_loc_action(w, f)
+
+
+# -- conjugating one generator, against the product in H_c -----------------------
+
+@pytest.mark.parametrize("name,family", [("B2-rotated", "so"), ("B2-rotated", "gl"),
+                                         ("B3", "so")])
+def test_conj_one_embeds_to_the_conjugate_in_h_c(name, family):
+    ctx = CherednikContext(SYSTEMS[name]())
+    alg = get_subalgebra(ctx, family)
+    n = ctx.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if family == "gl" or i < j]
+    for w in ctx.rs.group():
+        for pair in pairs:
+            expansion = SubElement(alg)
+            for p2, c in alg._conj_one(w, pair):
+                add_term(expansion.terms, SubWord((p2 + (1,),), ctx.e), ctx.one * c)
+            expected = group(ctx, w) * alg.generator(*pair) * group(ctx, w.inverse())
+            assert embed(expansion) == expected

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from dunklalg.cherednik import (
     CherednikContext,
@@ -169,7 +170,7 @@ def test_nabla_commutator_with_x_is_s():
         f = to_loc(ctx, p)
         x2 = ctx.monomial((0, 1))
         lhs = nabla_apply(ctx, 0, f * x2) - (nabla_apply(ctx, 0, f) * x2)
-        rhs = f.apply_linear(s.cols, s.perm, s.signs).scaled(-g)
+        rhs = f.act(partial(ctx.rs.act_exp, s), s.roots).scaled(-g)
         assert lhs == rhs
 
 
@@ -226,7 +227,7 @@ def test_restriction_hand_examples():
     # S (x1 + x2) = -g (x1 + x2); S (x1 - x2) = +g (x1 - x2)
     psym = ctx.monomial((1, 0)) + ctx.monomial((0, 1))
     panti = ctx.monomial((1, 0)) - ctx.monomial((0, 1))
-    s_on = lambda p: ctx.reflect(0, p).scaled(-g)
+    s_on = lambda p: ctx.act_group(ctx.rs.reflection(0), p).scaled(-g)
     assert s_on(psym) == psym.scaled(-g)
     assert s_on(panti) == panti.scaled(g)
 

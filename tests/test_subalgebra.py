@@ -324,9 +324,9 @@ def test_symbol_certificate_rejects_a_dependent_word(monkeypatch):
     symbol_certificate(alg, 4)
     real = subalgebra.enumerate_basis_so
 
-    def with_crossing(n, d, tail=None, ctx=None):
+    def with_crossing(n, d, tail):
         # M_13 M_24 has the symbol p13 p24 = p12 p34 + p14 p23 (Pluecker)
-        words = real(n, d, tail, ctx)
+        words = real(n, d, tail)
         if d == 2:
             words.append(word_from_pairs(((0, 2), (1, 3)), words[0].tail))
         return words
