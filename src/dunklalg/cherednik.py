@@ -9,9 +9,13 @@ coefficients. The generators obey
 and multiplication renormalizes products by commuting single D factors
 across single x factors, inserting group-algebra terms from the S pairing.
 The single-step products are memoized per context, and moving x^a or D^b
-across a group element uses the root system's memoized ``act_exp``. These
-memos are the only shared state. Each is a read-mostly cache of immutable
-values that depend only on their key, so concurrent use is safe.
+across a group element uses the root system's memoized ``act_exp``. On top
+of these, each context memoizes the product template of (w1 D^b1)(x^a2 w2),
+so a product of two terms costs one exponent shift and one coefficient
+product per output term. These memos are the only shared state. Each is a
+read-mostly cache of immutable values that depend only on their key, so
+concurrent use is safe: a thread that loses a race to fill a template
+reads the winner's entry, which is equal to its own.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from operator import add
+from typing import Sequence
 
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
 from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms
@@ -61,6 +66,7 @@ class CherednikContext:
         self._s_terms: dict[tuple[int, int], tuple[tuple[GroupElement, CoeffPoly], ...]] = {}
         self._dix: dict = {}
         self._dbx: dict = {}
+        self._tm: dict = {}
         self._named: dict = {}
 
     def s_terms(self, i: int, j: int) -> tuple[tuple[GroupElement, CoeffPoly], ...]:
@@ -123,20 +129,31 @@ class CherednikContext:
         self._dbx[key] = cached
         return cached
 
-    def term_mul(self, a1, w1, b1, a2, w2, b2) -> Iterable[tuple[TermKey, CoeffPoly]]:
-        """Normal form of (x^a1 w1 D^b1) (x^a2 w2 D^b2) as (key, coeff) pairs."""
+    def template(self, w1: GroupElement, b1: tuple[int, ...], a2: tuple[int, ...],
+                 w2: GroupElement):
+        """Normal form of (w1 D^b1)(x^a2 w2): ((ax, w, bx, coef), ...).
+
+        (x^a1 w1 D^b1)(x^a2 w2 D^b2) is then the sum of coef x^(a1+ax) w
+        D^(bx+b2). Entries are in the order the rewriting produces them and
+        repeated keys are not merged, so products fill their accumulators in
+        one fixed order. Memoized per (w1, b1, a2, w2)."""
+        key = (w1, b1, a2, w2)
+        cached = self._tm.get(key)
+        if cached is not None:
+            return cached
+        act = self.rs.act_exp
         w2inv = w2.inverse()
+        out = []
         for coef, alpha, u, beta in self.db_x(b1, a2):
-            for f1, ax in self.rs.act_exp(w1, alpha):
-                a_out = tuple(x + y for x, y in zip(a1, ax))
-                w_out = (w1 * u) * w2
+            w = (w1 * u) * w2
+            for f1, ax in act(w1, alpha):
                 c1 = coef * f1 if f1 != 1 else coef
                 if beta == self.zero_exp:
-                    yield (a_out, w_out, b2), c1
+                    out.append((ax, w, self.zero_exp, c1))
                 else:
-                    for f2, bx in self.rs.act_exp(w2inv, beta):
-                        b_out = tuple(x + y for x, y in zip(bx, b2))
-                        yield (a_out, w_out, b_out), (c1 * f2 if f2 != 1 else c1)
+                    for f2, bx in act(w2inv, beta):
+                        out.append((ax, w, bx, c1 * f2 if f2 != 1 else c1))
+        return self._tm.setdefault(key, tuple(out))
 
 
 class PBWElement:
@@ -173,12 +190,19 @@ class PBWElement:
         if isinstance(other, PBWElement):
             self._check(other)
             ctx = self.ctx
+            zero = ctx.zero_exp
             acc: dict[TermKey, CoeffPoly] = {}
             for (a1, w1, b1), c1 in self.terms.items():
+                shift_a = a1 != zero
                 for (a2, w2, b2), c2 in other.terms.items():
+                    shift_b = b2 != zero
                     c12 = c1 * c2
-                    for key, c in ctx.term_mul(a1, w1, b1, a2, w2, b2):
-                        add_term(acc, key, c12 * c)
+                    for ax, w, bx, c in ctx.template(w1, b1, a2, w2):
+                        if shift_a:
+                            ax = tuple(map(add, a1, ax))
+                        if shift_b:
+                            bx = tuple(map(add, bx, b2))
+                        add_term(acc, (ax, w, bx), c12 * c)
             return PBWElement(ctx, acc)
         return self.scaled(other)
 
@@ -428,8 +452,8 @@ def adjoint(p: PBWElement) -> PBWElement:
         sign = -1 if sum(b) % 2 else 1
         for f, b2 in ctx.rs.act_exp(w, b):
             c0 = c * (sign * f)
-            for key, c2 in ctx.term_mul(ctx.zero_exp, winv, b2, a, ctx.e, ctx.zero_exp):
-                add_term(acc, key, c0 * c2)
+            for ax, w2, bx, c2 in ctx.template(winv, b2, a, ctx.e):
+                add_term(acc, (ax, w2, bx), c0 * c2)
     return PBWElement(ctx, acc)
 
 

@@ -223,7 +223,12 @@ class CoeffPoly:
 
     def __mul__(self, other) -> CoeffPoly:
         if not isinstance(other, CoeffPoly):
-            return self._scaled(_exact_scalar(other))
+            try:
+                v = _exact_scalar(other)
+            except TypeError:
+                # not a scalar: an algebra element scales itself in __rmul__
+                return NotImplemented
+            return self._scaled(v)
         other = self._coerce(other)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if len(a.terms) == 1:

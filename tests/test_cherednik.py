@@ -1,6 +1,8 @@
 """PBW rewriting engine: normal forms, named elements, (anti)automorphisms."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,8 @@ from dunklalg.cherednik import (
     zero,
 )
 from dunklalg.coxeter import build_root_system
-from dunklalg.exactmath import CoeffPoly
+from dunklalg.exactmath import CoeffPoly, add_term
+from test_general_group import rotated_b2
 
 
 def ctx_a(n):
@@ -46,8 +49,8 @@ def ctx_b(n):
     return CherednikContext(build_root_system("B", n))
 
 
-def rand_element(ctx, rng, nterms=3, maxexp=2):
-    grp = ctx.rs.group()
+def rand_element(ctx, rng, nterms=3, maxexp=2, grp=None):
+    grp = grp if grp is not None else ctx.rs.group()
     p = zero(ctx)
     for _ in range(rng.randint(1, nterms)):
         a = tuple(rng.randint(0, maxexp) for _ in range(ctx.n))
@@ -371,8 +374,6 @@ def test_diagonal_permutation_creation_commutator():
 
 def test_concurrent_multiplication_shares_caches():
     # the rewriting memo is read-mostly; parallel products must agree
-    import threading
-
     ctx = ctx_a(3)
     expected = commutator(M(ctx, 0, 1), M(ctx, 1, 2))
     results = [None] * 8
@@ -416,3 +417,143 @@ def test_b3_products_render_as_with_fraction_coefficients():
         " - g2*w(-1,2,3)*D2*D3 - 1/2*D2*D3 - 1/2*g1*s(13)*D2*D3")
     for c in (E(0, 1) * E(1, 2)).terms.values():
         assert all(type(v) in (int, Fraction) for v in c.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Products against a term-by-term oracle
+# ---------------------------------------------------------------------------
+
+def naive_term_mul(ctx, a1, w1, b1, a2, w2, b2):
+    """(x^a1 w1 D^b1)(x^a2 w2 D^b2) as (key, coeff) pairs, one output term
+    at a time with every group product and action recomputed: D^b1 x^a2
+    through db_x, then x^alpha moved left across w1 and D^beta right across
+    w2."""
+    rs = ctx.rs
+    w2inv = w2.inverse()
+    for coef, alpha, u, beta in ctx.db_x(b1, a2):
+        for f1, ax in rs.act_exp(w1, alpha):
+            a_out = tuple(x + y for x, y in zip(a1, ax))
+            w_out = (w1 * u) * w2
+            c1 = coef * f1 if f1 != 1 else coef
+            if beta == ctx.zero_exp:
+                yield (a_out, w_out, b2), c1
+            else:
+                for f2, bx in rs.act_exp(w2inv, beta):
+                    b_out = tuple(x + y for x, y in zip(bx, b2))
+                    yield (a_out, w_out, b_out), (c1 * f2 if f2 != 1 else c1)
+
+
+def naive_product(p, q):
+    acc = {}
+    for (a1, w1, b1), c1 in p.terms.items():
+        for (a2, w2, b2), c2 in q.terms.items():
+            c12 = c1 * c2
+            for key, c in naive_term_mul(p.ctx, a1, w1, b1, a2, w2, b2):
+                add_term(acc, key, c12 * c)
+    return PBWElement(p.ctx, acc)
+
+
+def naive_adjoint(p):
+    ctx = p.ctx
+    acc = {}
+    for (a, w, b), c in p.terms.items():
+        sign = -1 if sum(b) % 2 else 1
+        for f, b2 in ctx.rs.act_exp(w, b):
+            c0 = c * (sign * f)
+            for key, c2 in naive_term_mul(ctx, ctx.zero_exp, w.inverse(), b2, a, ctx.e, ctx.zero_exp):
+                add_term(acc, key, c0 * c2)
+    return PBWElement(ctx, acc)
+
+
+def outside_w_pool():
+    # A2 with the automorphism w(-2,-1), which is not in W (roots is None)
+    rs = build_root_system("A", 2)
+    w = rs.element(((Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(0))))
+    assert w.roots is None and w.render() == "w(-2,-1)"
+    return rs, rs.group() + (w,)
+
+
+ORACLE_CASES = {
+    "A3": lambda: (build_root_system("A", 3), None, 2),
+    "B3": lambda: (build_root_system("B", 3), None, 2),
+    "D4": lambda: (build_root_system("D", 4), None, 2),
+    "B2-rotated": lambda: (rotated_b2(), None, 2),
+    "A2-outside-W": lambda: outside_w_pool() + (2,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_products_match_term_by_term_oracle(name):
+    rs, grp, maxexp = ORACLE_CASES[name]()
+    ctx = CherednikContext(rs)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(6):
+        p = rand_element(ctx, rng, nterms=3, maxexp=maxexp, grp=grp)
+        q = rand_element(ctx, rng, nterms=3, maxexp=maxexp, grp=grp)
+        for got, expected in ((p * q, naive_product(p, q)),
+                              (q * p, naive_product(q, p)),
+                              (adjoint(p), naive_adjoint(p))):
+            assert got == expected
+            # key order feeds row and column order downstream
+            assert list(got.terms) == list(expected.terms)
+
+
+def test_cold_memo_race_matches_a_separate_context():
+    # threads that switch often fill the memos of a fresh context together;
+    # every result must equal, key order included, the product computed
+    # afterwards in a separate context
+    rs = build_root_system("B", 3)
+
+    def operands(ctx):
+        rng = random.Random(19)
+        ops = [rand_element(ctx, rng, nterms=2, maxexp=2) for _ in range(4)]
+        ops += [M(ctx, 0, 1), M(ctx, 1, 2), e_generator(ctx, 0, 2)]
+        return [(p, q) for p in ops for q in ops]
+
+    ctx = CherednikContext(rs)
+    pairs = operands(ctx)
+    results = []
+
+    def work(shift):
+        order = pairs[shift:] + pairs[:shift]
+        out = [p * q for p, q in order]
+        results.append(out[len(pairs) - shift:] + out[:len(pairs) - shift])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    expected = [p * q for p, q in operands(CherednikContext(rs))]
+    for out in results:
+        for got, exp in zip(out, expected):
+            assert got.terms == exp.terms
+            assert list(got.terms) == list(exp.terms)
+
+
+def test_repeated_product_reads_only_templates(monkeypatch):
+    ctx = ctx_b(3)
+    p = e_generator(ctx, 0, 1) + M(ctx, 1, 2)
+    q = M(ctx, 0, 2) * group(ctx, ctx.rs.reflection(1))
+    calls = []
+    db_x = CherednikContext.db_x
+
+    def counted(self, b, c):
+        calls.append((b, c))
+        return db_x(self, b, c)
+
+    monkeypatch.setattr(CherednikContext, "db_x", counted)
+    first = p * q
+    assert calls
+    filled = len(ctx._tm)
+    calls.clear()
+    second = p * q
+    assert calls == [] and len(ctx._tm) == filled
+    assert second == first and list(second.terms) == list(first.terms)

@@ -7,7 +7,8 @@ from functools import partial
 
 import pytest
 
-from dunklalg.coxeter import build_root_system
+from dunklalg.cherednik import CherednikContext, angular_momentum_ij
+from dunklalg.coxeter import GroupAlgebraElement, build_root_system
 from dunklalg.exactmath import (
     CoeffPoly,
     LocPoly,
@@ -111,6 +112,21 @@ def test_coeffpoly_is_false_only_at_zero():
     g = CoeffPoly.symbol(0, 1)
     assert not CoeffPoly.zero(1) and not (g - g) and not CoeffPoly.const(0, 0)
     assert g and CoeffPoly.one(0) and CoeffPoly.const(Fraction(-1, 2), 1)
+
+
+def test_coupling_times_algebra_element_scales_from_either_side():
+    ctx = CherednikContext(build_root_system("B", 2))
+    g = ctx.gmap.of_orbit(0)
+    for m in (angular_momentum_ij(ctx, 0, 1),
+              XPoly.monomial((1, 2), 2, ctx.nsym) + XPoly.monomial((0, 1), 2, ctx.nsym),
+              GroupAlgebraElement.of(ctx.rs, ctx.rs.reflection(0), ctx.one)):
+        left = g * m
+        assert left == m * g and type(left) is type(m)
+        assert not left.scaled(2) == m * g
+    half = g * Fraction(1, 2)
+    assert half == Fraction(1, 2) * g and half + half == g
+    with pytest.raises(TypeError):
+        g * object()
 
 
 def test_render_terms_signs_and_units():
