@@ -488,6 +488,12 @@ class XPoly:
                 for e2, c2 in other.terms.items():
                     add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             return XPoly(self.nvars, self.nsym, out)
+        if not isinstance(other, CoeffPoly):
+            try:
+                other = _exact_scalar(other)
+            except TypeError:
+                # not a scalar: a localized or algebra element multiplies in __rmul__
+                return NotImplemented
         return self.scaled(other)
 
     __rmul__ = __mul__
@@ -662,6 +668,27 @@ class LocPoly:
     ``den`` maps a positive-root index to the power of (alpha, x) in the
     denominator. The stored form is canonical: the numerator is not divisible
     by any root form appearing in the denominator.
+
+    The roots must be pairwise non-proportional, as ``RootSystem`` checks.
+    Then distinct root forms are non-associate primes of Q[g][x], so a form
+    divides a product only if it divides a factor. With canonical operands,
+    each operation knows which forms can divide its new numerator and tries
+    synthetic division by those alone; the constructor tries every form.
+
+    - Sum: only forms with the same power in both summands. If F has powers
+      p < q, the lifted numerator of the p summand carries F^(q-p), so mod F
+      the sum's numerator is the q summand's numerator times forms prime to
+      F, which is nonzero.
+    - Derivative in x_i: a form F with F_i != 0 is folded in at power m + 1,
+      and mod F the new numerator is -m F_i num times the other folded forms,
+      which is nonzero. A form with F_i = 0 is free of x_i, keeps power m and
+      is not multiplied in; only these forms are tried.
+    - ``over_form(idx)``: only idx, and only when it was not in the
+      denominator already.
+    - Product: forms in both denominators divide neither numerator, so only
+      the forms in exactly one are tried. A product with an XPoly tries every
+      form of the denominator, and a scalar none, since a nonzero element of
+      Q[g] is prime to every form.
     """
 
     __slots__ = ("roots", "num", "den")
@@ -673,11 +700,14 @@ class LocPoly:
         # zero has the empty denominator, also when the caller skips reduction
         self.den = dict(den) if den and not num.is_zero() else {}
         if reduce:
-            self._reduce()
+            self._reduce(list(self.den))
 
-    def _reduce(self) -> None:
-        for idx in list(self.den):
-            m = self.den[idx]
+    def _reduce(self, forms: Iterable[int]) -> LocPoly:
+        """Divide out each given form as often as it goes. Called only on a
+        value under construction, which it returns."""
+        den = self.den
+        for idx in forms:
+            m = den.get(idx, 0)
             while m:
                 q = self.num.div_linear(self.roots[idx])
                 if q is None:
@@ -685,9 +715,10 @@ class LocPoly:
                 self.num = q
                 m -= 1
             if m:
-                self.den[idx] = m
+                den[idx] = m
             else:
-                del self.den[idx]
+                den.pop(idx, None)
+        return self
 
     @staticmethod
     def from_poly(p: XPoly, roots) -> LocPoly:
@@ -710,7 +741,9 @@ class LocPoly:
         den = dict(self.den)
         for idx, m in other.den.items():
             den[idx] = max(den.get(idx, 0), m)
-        return LocPoly(self.roots, self._lifted(den) + other._lifted(den), den)
+        num = self._lifted(den) + other._lifted(den)
+        return LocPoly(self.roots, num, den, reduce=False)._reduce(
+            [idx for idx, m in self.den.items() if other.den.get(idx) == m])
 
     def __neg__(self) -> LocPoly:
         return LocPoly(self.roots, -self.num, self.den, reduce=False)
@@ -724,8 +757,11 @@ class LocPoly:
             den = dict(self.den)
             for idx, m in other.den.items():
                 den[idx] = den.get(idx, 0) + m
-            return LocPoly(self.roots, self.num * other.num, den)
-        return LocPoly(self.roots, self.num * other, self.den, reduce=False)
+            return LocPoly(self.roots, self.num * other.num, den, reduce=False)._reduce(
+                [idx for idx in den if (idx in self.den) != (idx in other.den)])
+        if isinstance(other, XPoly):
+            return LocPoly(self.roots, self.num * other, self.den)
+        return self.scaled(other)
 
     __rmul__ = __mul__
 
@@ -735,8 +771,10 @@ class LocPoly:
     def over_form(self, idx: int, power: int = 1) -> LocPoly:
         """Divide by (alpha_idx, x)^power."""
         den = dict(self.den)
-        den[idx] = den.get(idx, 0) + power
-        return LocPoly(self.roots, self.num, den)
+        had = den.get(idx, 0)
+        den[idx] = had + power
+        out = LocPoly(self.roots, self.num, den, reduce=False)
+        return out if had else out._reduce((idx,))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -749,25 +787,24 @@ class LocPoly:
     __hash__ = None
 
     def derivative(self, i: int) -> LocPoly:
-        """Quotient rule over the product of the denominator forms F_k^m_k.
+        """Quotient rule over the denominator forms F^m that involve x_i.
 
-        Folding in one form F at a time, the numerator becomes
-        num * F - m (dF/dx_i) * lifted, where lifted is the original
-        numerator times the forms folded in so far."""
+        Folding in one such form at a time, the numerator becomes
+        num * F - m F_i * lifted, where lifted is the original numerator
+        times the forms folded in so far. Forms free of x_i are constants
+        for d/dx_i: they keep their power and are the only ones reduced."""
         num = self.num.derivative(i)
-        if not self.den:
-            return LocPoly(self.roots, num, None, reduce=False)
+        roots = self.roots
+        folded = [(idx, m) for idx, m in self.den.items() if roots[idx][i]]
         lifted = self.num
-        last = len(self.den) - 1
-        for n, (idx, m) in enumerate(self.den.items()):
-            form = self.roots[idx]
-            num = num.mul_linear(form)
-            if form[i]:
-                num = num + lifted.scaled(-m * form[i])
-            if n < last:
+        for n, (idx, m) in enumerate(folded, 1):
+            form = roots[idx]
+            num = num.mul_linear(form) + lifted.scaled(-m * form[i])
+            if n < len(folded):
                 lifted = lifted.mul_linear(form)
-        den = {idx: m + 1 for idx, m in self.den.items()}
-        return LocPoly(self.roots, num, den)
+        den = {idx: m + 1 if roots[idx][i] else m for idx, m in self.den.items()}
+        return LocPoly(roots, num, den, reduce=False)._reduce(
+            [idx for idx in den if not roots[idx][i]])
 
     def act(self, image, root_images: Sequence[int]) -> LocPoly:
         """Apply a group element w (f -> f o w^{-1}): image(e) expands w x^e

@@ -638,7 +638,9 @@ def _rand_locpoly(rng, roots, nsym):
 @pytest.mark.parametrize("case", sorted(ROOT_CASES))
 def test_locpoly_reduction_matches_reference(case):
     roots, nsym = ROOT_CASES[case]
+    n = len(roots[0])
     rng = random.Random(43)
+    pick = random.Random(44)        # the extra draws leave rng's cases as they were
     for _ in range(6):
         f = _rand_locpoly(rng, roots, nsym)
         g = _rand_locpoly(rng, roots, nsym)
@@ -647,9 +649,94 @@ def test_locpoly_reduction_matches_reference(case):
         d = f - g
         assert (d.num, d.den) == _reference_add(f, -g)
         assert (f - f).is_zero() and (f - f).den == {}
-        i = rng.randrange(len(roots[0]))
-        df = f.derivative(i)
-        assert (df.num, df.den) == _reference_derivative(f, i)
+        start = rng.randrange(n)
+        for i in range(n):              # every coordinate, from a random first one
+            i = (start + i) % n
+            df = f.derivative(i)
+            assert (df.num, df.den) == _reference_derivative(f, i)
+        present = [pick.choice(sorted(f.den))] if f.den else []
+        absent = pick.choice([idx for idx in range(len(roots)) if idx not in f.den])
+        for idx in present + [absent]:
+            for power in (1, 2):
+                over = dict(f.den)
+                over[idx] = over.get(idx, 0) + power
+                q = f.over_form(idx, power)
+                assert (q.num, q.den) == _reference_reduce(roots, f.num, over)
+        over = dict(f.den)
+        for idx, m in g.den.items():
+            over[idx] = over.get(idx, 0) + m
+        fg = f * g
+        assert (fg.num, fg.den) == _reference_reduce(roots, f.num * g.num, over)
+        # a polynomial factor may hold any of the forms, some of them twice
+        p = rand_xpoly(pick, n, nsym, 1)
+        for idx in pick.sample(sorted(f.den) * 2, min(2, 2 * len(f.den))):
+            p = p * XPoly.linear_form(roots[idx], nsym)
+        fp = f * p
+        assert (fp.num, fp.den) == _reference_reduce(roots, f.num * p, f.den)
+        assert p * f == fp
+
+
+def test_locpoly_planted_reductions():
+    one = XPoly.one(3, 1)
+    x1, x2, x3 = (XPoly.variable(i, 3, 1) for i in range(3))
+    # equal powers whose numerators cancel mod (x1 - x2): x1 - x2 divides out
+    s = loc(x1, {0: 1}) + loc(-x2, {0: 1})
+    assert s == loc(one) and s.den == {}
+    s = loc(x1 * x3, {0: 2, 1: 1}) + loc(-x2 * x3, {0: 2, 2: 1})
+    assert s.den == {0: 1, 1: 1, 2: 1}
+    assert s.num == (x1 * x3 * (x2 - x3) - x2 * x3 * (x1 - x3)).try_divide(x1 - x2)
+    # d/dx1 of (x1 (x2 - x3) + 1)/(x2 - x3) is 1
+    f = loc(x1 * (x2 - x3) + one, {2: 1})
+    assert f.den == {2: 1}
+    d = f.derivative(0)
+    assert d == loc(one) and d.den == {}
+
+
+def test_locpoly_times_polynomial_stays_canonical():
+    one = XPoly.one(3, 1)
+    x1, x2 = XPoly.variable(0, 3, 1), XPoly.variable(1, 3, 1)
+    f = loc(one, {0: 1})                                    # 1/(x1 - x2)
+    for prod in (f * (x1 - x2), (x1 - x2) * f):
+        assert prod == loc(one) and prod.den == {}
+    h = loc(x1, {0: 2, 1: 1})
+    p = (x1 - x2) * (x1 + x2)
+    assert h * p == p * h == loc(x1 * (x1 + x2), {0: 1, 1: 1})
+    # a scalar factor divides out no form
+    assert (h * 3).den == (3 * h).den == h.den
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_locpoly_divides_only_by_forms_that_can_divide(case, monkeypatch):
+    roots, nsym = ROOT_CASES[case]
+    n = len(roots[0])
+    rng = random.Random(47)
+    pairs = []
+    for _ in range(4):
+        idx, jdx, kdx = rng.sample(range(len(roots)), 3)
+        f = LocPoly(roots, rand_xpoly(rng, n, nsym, 2), {idx: 1, jdx: 2})
+        g = LocPoly(roots, rand_xpoly(rng, n, nsym, 2), {idx: 2, kdx: 1})
+        pairs.append((f, g))
+    calls = []
+    div_linear = XPoly.div_linear
+
+    def counted(self, vec):
+        calls.append(tuple(vec))
+        return div_linear(self, vec)
+    monkeypatch.setattr(XPoly, "div_linear", counted)
+    for f, g in pairs:
+        # no form has the same power in both summands
+        assert not any(g.den.get(idx) == m for idx, m in f.den.items())
+        f + g
+        assert calls == []
+    tried = 0
+    for f, g in pairs:
+        s = f + g
+        for i in range(n):
+            del calls[:]
+            s.derivative(i)
+            assert set(calls) == {roots[idx] for idx in s.den if not roots[idx][i]}
+            tried += len(calls)
+    assert tried
 
 
 # ---------------------------------------------------------------------------
