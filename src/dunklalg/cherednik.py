@@ -30,7 +30,7 @@ from operator import add
 from typing import Sequence
 
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
-from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms
+from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms, sub_term
 
 
 class ContextMismatch(ValueError):
@@ -184,7 +184,11 @@ class PBWElement:
         return PBWElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: PBWElement) -> PBWElement:
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            sub_term(out, key, c)
+        return PBWElement(self.ctx, out)
 
     def __mul__(self, other) -> PBWElement:
         if isinstance(other, PBWElement):

@@ -8,7 +8,8 @@ point, and a fraction-free sparse echelon for exact ranks and nullspaces.
 
 A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``:
 values are ints when integral wherever they enter (constructors, scaling by
-a number, exact division, gcds), so the bulk of the products are int
+a number, exact division, gcds, and products, sums and differences of
+single-term coupling polynomials), so the bulk of the products are int
 products, and every division goes through ``Fraction``.
 
 All values are immutable after construction and every operation is a pure
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -56,6 +58,17 @@ def add_term(acc: dict, key, value) -> None:
     prev = acc.get(key)
     if prev is not None:
         value = prev + value
+    if value:
+        acc[key] = value
+    elif prev is not None:
+        del acc[key]
+
+
+def sub_term(acc: dict, key, value) -> None:
+    """acc[key] -= value under add_term's rule, without negating value first
+    when acc already holds key."""
+    prev = acc.get(key)
+    value = -value if prev is None else prev - value
     if value:
         acc[key] = value
     elif prev is not None:
@@ -160,10 +173,13 @@ class CoeffPoly:
 
     ``terms`` maps exponent tuples of length ``nsym`` to nonzero ``int`` or
     ``Fraction`` values, never ``float``; division goes through ``Fraction``.
-    Values enter as ints when integral. A sum or product of two Fractions
-    may leave an integral Fraction, which compares, hashes and renders as
-    its int, so keys and output do not depend on the representation. The
-    zero polynomial has an empty term map.
+    Values enter as ints when integral. A product, sum or difference of two
+    single-term polynomials takes a direct branch that builds the one or two
+    result entries without the general convolution, and its computed values
+    are ints when integral. On the general path a sum or product of two
+    Fractions may leave an integral Fraction, which compares, hashes and
+    renders as its int, so keys and output do not depend on the
+    representation. The zero polynomial has an empty term map.
     """
 
     __slots__ = ("nsym", "terms")
@@ -203,7 +219,24 @@ class CoeffPoly:
 
     # -- ring operations ----------------------------------------------------
 
+    def _monomials(self, other) -> tuple | None:
+        """(e1, v1, e2, v2) when self and other are both single terms."""
+        if other.__class__ is CoeffPoly and len(self.terms) == 1 == len(other.terms):
+            if other.nsym != self.nsym:
+                self._coerce(other)  # raises: mixed coupling contexts
+            (e1, v1), = self.terms.items()
+            (e2, v2), = other.terms.items()
+            return e1, v1, e2, v2
+        return None
+
     def __add__(self, other) -> CoeffPoly:
+        mono = self._monomials(other)
+        if mono is not None:
+            e1, v1, e2, v2 = mono
+            if e1 != e2:
+                return CoeffPoly(self.nsym, {e1: v1, e2: v2})
+            v = v1 + v2
+            return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -216,6 +249,13 @@ class CoeffPoly:
         return CoeffPoly(self.nsym, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> CoeffPoly:
+        mono = self._monomials(other)
+        if mono is not None:
+            e1, v1, e2, v2 = mono
+            if e1 != e2:
+                return CoeffPoly(self.nsym, {e1: v1, e2: -v2})
+            v = v1 - v2
+            return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> CoeffPoly:
@@ -229,6 +269,20 @@ class CoeffPoly:
                 # not a scalar: an algebra element scales itself in __rmul__
                 return NotImplemented
             return self._scaled(v)
+        mono = self._monomials(other)
+        if mono is not None:
+            e1, v1, e2, v2 = mono
+            if not any(e1):
+                if v1 == 1:
+                    return other
+                e = e2
+            elif not any(e2):
+                if v2 == 1:
+                    return self
+                e = e1
+            else:
+                e = tuple(map(add, e1, e2))
+            return CoeffPoly(self.nsym, {e: _exact_scalar(v1 * v2)})
         other = self._coerce(other)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if len(a.terms) == 1:
@@ -468,6 +522,8 @@ class XPoly:
             raise ValueError("mixed polynomial contexts")
 
     def __add__(self, other: XPoly) -> XPoly:
+        if not isinstance(other, XPoly):
+            return NotImplemented  # a localized element adds in __radd__
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -736,7 +792,9 @@ class LocPoly:
                 num = num.mul_linear(self.roots[idx])
         return num
 
-    def __add__(self, other: LocPoly) -> LocPoly:
+    def __add__(self, other: LocPoly | XPoly) -> LocPoly:
+        if isinstance(other, XPoly):
+            other = LocPoly.from_poly(other, self.roots)
         self._check(other)
         den = dict(self.den)
         for idx, m in other.den.items():
@@ -745,10 +803,15 @@ class LocPoly:
         return LocPoly(self.roots, num, den, reduce=False)._reduce(
             [idx for idx, m in self.den.items() if other.den.get(idx) == m])
 
+    def __radd__(self, other: XPoly) -> LocPoly:
+        if isinstance(other, XPoly):
+            return LocPoly.from_poly(other, self.roots) + self
+        return NotImplemented
+
     def __neg__(self) -> LocPoly:
         return LocPoly(self.roots, -self.num, self.den, reduce=False)
 
-    def __sub__(self, other: LocPoly) -> LocPoly:
+    def __sub__(self, other: LocPoly | XPoly) -> LocPoly:
         return self + (-other)
 
     def __mul__(self, other) -> LocPoly:

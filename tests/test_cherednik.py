@@ -482,6 +482,52 @@ ORACLE_CASES = {
 }
 
 
+def rand_symbolic_element(ctx, rng, keys, coeffs=None):
+    """Terms on a random subset of keys; coefficients in every coupling
+    symbol, with one or two terms, or taken from coeffs where given."""
+    terms = {}
+    for key in rng.sample(keys, rng.randint(1, len(keys))):
+        if coeffs is not None and key in coeffs and rng.random() < 0.5:
+            terms[key] = coeffs[key]
+            continue
+        c = CoeffPoly.zero(ctx.nsym)
+        for _ in range(rng.randint(1, 2)):
+            e = tuple(rng.randint(0, 2) for _ in range(ctx.nsym))
+            c = c + CoeffPoly(ctx.nsym, {e: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))})
+        if c:
+            terms[key] = c
+    return PBWElement(ctx, terms)
+
+
+DIFFERENCE_CASES = {
+    "A3": lambda: build_root_system("A", 3),
+    "B3": lambda: build_root_system("B", 3),          # two coupling symbols
+    "B2-rotated": rotated_b2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENCE_CASES))
+def test_difference_matches_sum_of_negation_in_key_order(name):
+    ctx = CherednikContext(DIFFERENCE_CASES[name]())
+    rng = random.Random(sum(map(ord, name)) + 21)
+    grp = ctx.rs.group()
+    keys = [(tuple(rng.randint(0, 1) for _ in range(ctx.n)), grp[rng.randrange(len(grp))],
+             tuple(rng.randint(0, 1) for _ in range(ctx.n))) for _ in range(6)]
+    for _ in range(25):
+        p = rand_symbolic_element(ctx, rng, keys)
+        # q and s copy some of p's coefficients, so shared keys cancel in p - q
+        # and come back in (p - q) - s or (p - q) - (-q)
+        q = rand_symbolic_element(ctx, rng, keys, p.terms)
+        s = rand_symbolic_element(ctx, rng, keys, p.terms)
+        r = p - q
+        for a, b in ((p, q), (q, p), (p, p), (r, s), (r, -q), (r, p), (s, r)):
+            got, want = a - b, a + (-b)
+            assert got == want
+            # key order feeds row and column order downstream
+            assert list(got.terms) == list(want.terms)
+        assert (p - p).is_zero()
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_products_match_term_by_term_oracle(name):
     rs, grp, maxexp = ORACLE_CASES[name]()

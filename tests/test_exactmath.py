@@ -705,6 +705,22 @@ def test_locpoly_times_polynomial_stays_canonical():
     assert (h * 3).den == (3 * h).den == h.den
 
 
+def test_locpoly_plus_polynomial_lifts_it_in_either_order():
+    one = XPoly.one(3, 1)
+    x1, x2 = XPoly.variable(0, 3, 1), XPoly.variable(1, 3, 1)
+    f = loc(one, {0: 1})                                    # 1/(x1 - x2)
+    p = x1 * x2
+    lifted = loc(p)
+    assert f + p == p + f == f + lifted
+    assert f - p == f - lifted and p - f == lifted - f
+    # a polynomial can cancel the numerator over an empty denominator
+    g = loc(x1 + x2)
+    assert (g - (x1 + x2)).is_zero() and ((x1 + x2) - g).is_zero()
+    assert (g - (x1 + x2)).den == {}
+    with pytest.raises(TypeError):
+        x1 + 1
+
+
 @pytest.mark.parametrize("case", sorted(ROOT_CASES))
 def test_locpoly_divides_only_by_forms_that_can_divide(case, monkeypatch):
     roots, nsym = ROOT_CASES[case]
@@ -896,3 +912,75 @@ def test_rows_from_int_and_fraction_values_dedupe_to_one(monkeypatch):
     basis, forced = sparse_nullspace([row_f, row_i], 2, 1)
     assert seen == [1] and forced == []
     assert basis == [[CoeffPoly.const(6, 1), g * 4 + 1]]
+
+
+def _reference_product(p, q):
+    out = {}
+    for e1, v1 in p.terms.items():
+        for e2, v2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + Fraction(v1) * Fraction(v2)
+    return {e: v for e, v in out.items() if v}
+
+
+def _reference_sum(p, q, sign):
+    out = {e: Fraction(v) for e, v in p.terms.items()}
+    for e, v in q.terms.items():
+        out[e] = out.get(e, 0) + sign * Fraction(v)
+    return {e: v for e, v in out.items() if v}
+
+
+def _small_coeffpoly(rng, nsym, nterms, fractions):
+    terms = {}
+    while len(terms) < nterms:
+        e = tuple(rng.randint(0, 2) for _ in range(nsym))
+        v = rng.choice([-2, -1, 1, 2, 3])
+        if fractions:
+            v = Fraction(v, rng.choice([1, 2, 3]))
+            v = v.numerator if v.denominator == 1 else v   # as values enter the engine
+        terms.setdefault(e, v)
+    return CoeffPoly(nsym, terms)
+
+
+@pytest.mark.parametrize("nsym", [0, 1, 2])
+def test_single_term_arithmetic_matches_reference(nsym):
+    rng = random.Random(21 + nsym)
+    cases = 0
+    for _ in range(300):
+        fractions = rng.random() < 0.6
+        sizes = [1, 1, 2, 3] if nsym else [1]
+        p = _small_coeffpoly(rng, nsym, rng.choice(sizes), fractions)
+        q = _small_coeffpoly(rng, nsym, rng.choice(sizes), fractions)
+        if rng.random() < 0.2:
+            q = -p                       # sums that cancel to zero
+        for got, want in ((p * q, _reference_product(p, q)),
+                          (p + q, _reference_sum(p, q, 1)),
+                          (p - q, _reference_sum(p, q, -1))):
+            assert got.nsym == nsym and got.terms == want
+            if len(p.terms) == len(q.terms) == 1:
+                cases += 1
+                assert all(v.__class__ is int or v.denominator != 1 for v in got.terms.values())
+        assert (p - p).is_zero() and not (p + (-p)).terms
+    assert cases > 150
+
+
+def test_single_term_arithmetic_keeps_the_checks():
+    g1 = CoeffPoly.symbol(0, 1)
+    g2 = CoeffPoly.symbol(0, 2)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError):
+            op(g1, g2)
+        with pytest.raises(ValueError):
+            op(CoeffPoly.one(1), CoeffPoly.one(0))
+    # a non-scalar operand defers to its own __rmul__
+    x = XPoly.variable(0, 2, 1)
+    assert (g1 * 2).__mul__(x) is NotImplemented
+    assert (g1 * 2) * x == XPoly.monomial((1, 0), 2, 1, g1 * 2)
+    one = CoeffPoly.one(1)
+    assert one * g1 is g1 and g1 * one is g1
+    # integral values come out as ints
+    half = CoeffPoly(1, {(1,): Fraction(1, 2)})
+    for r in (half * CoeffPoly.const(2, 1), half + half, (g1 * Fraction(3, 2)) - half):
+        (v,) = r.terms.values()
+        assert v.__class__ is int
+    assert (half * CoeffPoly.const(Fraction(2, 3), 1)).terms == {(1,): Fraction(1, 3)}
