@@ -3,7 +3,8 @@
 Modules:
   exactmath   scalar/polynomial/linear-algebra substrate over Q[g1..gk], and
               add_term/render_terms, which every linear-combination type
-              uses to accumulate and to print its terms
+              uses to accumulate and to print its terms, and Combination,
+              the one copy of their module arithmetic
   coxeter     root systems, reflection groups, group-algebra pairings
   cherednik   PBW rewriting engine for the rational Cherednik algebra
   polyrep     faithful polynomial representation (the evaluation oracle)

@@ -30,11 +30,8 @@ from operator import add
 from typing import Sequence
 
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
-from .exactmath import CoeffPoly, add_term, grevlex_key, render_monomial, render_terms, sub_term
-
-
-class ContextMismatch(ValueError):
-    """Operands belong to different algebra contexts."""
+from .exactmath import (CoeffPoly, Combination, ContextMismatch, add_term, grevlex_key,
+                        render_monomial, render_terms)
 
 
 class WrongRootSystem(ValueError):
@@ -156,86 +153,40 @@ class CherednikContext:
         return self._tm.setdefault(key, tuple(out))
 
 
-class PBWElement:
+class PBWElement(Combination):
     """Linear combination of normal-form words x^a * w * D^b."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: CherednikContext, terms: dict[TermKey, CoeffPoly] | None = None):
         self.ctx = ctx
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(ctx: CherednikContext) -> PBWElement:
-        return PBWElement(ctx)
+    def _context(self) -> tuple:
+        return (self.ctx,)
 
-    def _check(self, other: PBWElement) -> None:
-        if self.ctx is not other.ctx:
-            raise ContextMismatch("operands from different algebra contexts")
-
-    def __add__(self, other: PBWElement) -> PBWElement:
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return PBWElement(self.ctx, out)
-
-    def __neg__(self) -> PBWElement:
-        return PBWElement(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: PBWElement) -> PBWElement:
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            sub_term(out, key, c)
-        return PBWElement(self.ctx, out)
+    def _unit(self) -> PBWElement:
+        return one(self.ctx)
 
     def __mul__(self, other) -> PBWElement:
-        if isinstance(other, PBWElement):
-            self._check(other)
-            ctx = self.ctx
-            zero = ctx.zero_exp
-            acc: dict[TermKey, CoeffPoly] = {}
-            for (a1, w1, b1), c1 in self.terms.items():
-                shift_a = a1 != zero
-                for (a2, w2, b2), c2 in other.terms.items():
-                    shift_b = b2 != zero
-                    c12 = c1 * c2
-                    for ax, w, bx, c in ctx.template(w1, b1, a2, w2):
-                        if shift_a:
-                            ax = tuple(map(add, a1, ax))
-                        if shift_b:
-                            bx = tuple(map(add, bx, b2))
-                        add_term(acc, (ax, w, bx), c12 * c)
-            return PBWElement(ctx, acc)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c) -> PBWElement:
-        if not isinstance(c, CoeffPoly):
-            c = CoeffPoly.const(c, self.ctx.nsym)
-        if c.is_zero():
-            return PBWElement(self.ctx)
-        return PBWElement(self.ctx, {k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> PBWElement:
-        if n < 0:
-            raise ValueError("negative power")
-        out = one(self.ctx)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        if other.__class__ is not PBWElement:
+            return super().__mul__(other)
+        self._check(other)
+        ctx = self.ctx
+        zero = ctx.zero_exp
+        acc: dict[TermKey, CoeffPoly] = {}
+        for (a1, w1, b1), c1 in self.terms.items():
+            shift_a = a1 != zero
+            for (a2, w2, b2), c2 in other.terms.items():
+                shift_b = b2 != zero
+                c12 = c1 * c2
+                for ax, w, bx, c in ctx.template(w1, b1, a2, w2):
+                    if shift_a:
+                        ax = tuple(map(add, a1, ax))
+                    if shift_b:
+                        bx = tuple(map(add, bx, b2))
+                    add_term(acc, (ax, w, bx), c12 * c)
+        return PBWElement(ctx, acc)
 
     def filtration_degree(self) -> int:
         if not self.terms:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactmath import CoeffPoly, add_term, format_rational, parse_rational, render_terms
+from .exactmath import CoeffPoly, Combination, add_term, format_rational, parse_rational, render_terms
 
 Vector = tuple[Fraction, ...]
 
@@ -491,10 +491,10 @@ class MultiplicityMap:
         return self.values[rs.orbit_of[root_index]]
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(Combination):
     """Finite CoeffPoly-linear combination of group elements."""
 
-    __slots__ = ("rs", "nsym", "terms")
+    __slots__ = ("rs", "nsym")
 
     def __init__(self, rs: RootSystem, nsym: int,
                  terms: dict[GroupElement, CoeffPoly] | None = None):
@@ -502,9 +502,11 @@ class GroupAlgebraElement:
         self.nsym = nsym
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(rs: RootSystem, nsym: int) -> GroupAlgebraElement:
-        return GroupAlgebraElement(rs, nsym)
+    def _context(self) -> tuple:
+        return self.rs, self.nsym
+
+    def _unit(self) -> GroupAlgebraElement:
+        return GroupAlgebraElement.unit(self.rs, self.nsym)
 
     @staticmethod
     def unit(rs: RootSystem, nsym: int) -> GroupAlgebraElement:
@@ -516,41 +518,15 @@ class GroupAlgebraElement:
             return GroupAlgebraElement(rs, coeff.nsym)
         return GroupAlgebraElement(rs, coeff.nsym, {w: coeff})
 
-    def _check(self, other: GroupAlgebraElement) -> None:
-        if self.rs is not other.rs or self.nsym != other.nsym:
-            raise ValueError("mixed group-algebra contexts")
-
-    def __add__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return GroupAlgebraElement(self.rs, self.nsym, out)
-
-    def __neg__(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.rs, self.nsym, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        return self + (-other)
-
     def __mul__(self, other) -> GroupAlgebraElement:
-        if isinstance(other, GroupAlgebraElement):
-            self._check(other)
-            out: dict[GroupElement, CoeffPoly] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    add_term(out, w1 * w2, c1 * c2)
-            return GroupAlgebraElement(self.rs, self.nsym, out)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c) -> GroupAlgebraElement:
-        if not isinstance(c, CoeffPoly):
-            c = CoeffPoly.const(c, self.nsym)
-        if c.is_zero():
-            return GroupAlgebraElement(self.rs, self.nsym)
-        return GroupAlgebraElement(self.rs, self.nsym, {w: v * c for w, v in self.terms.items()})
+        if other.__class__ is not GroupAlgebraElement:
+            return super().__mul__(other)
+        self._check(other)
+        out: dict[GroupElement, CoeffPoly] = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                add_term(out, w1 * w2, c1 * c2)
+        return GroupAlgebraElement(self.rs, self.nsym, out)
 
     def conjugate(self, w: GroupElement) -> GroupAlgebraElement:
         """w * self * w^{-1}."""
@@ -559,16 +535,6 @@ class GroupAlgebraElement:
         for u, c in self.terms.items():
             out[w * u * winv] = c
         return GroupAlgebraElement(self.rs, self.nsym, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.rs is other.rs and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def render(self) -> str:
         return render_terms((self.terms[w].render_atom(self.rs.symbols),

@@ -32,6 +32,10 @@ class NotDivisible(ArithmeticError):
     """An exact polynomial division left a remainder."""
 
 
+class ContextMismatch(ValueError):
+    """Operands belong to different algebra contexts."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction; a zero q is a ValueError."""
     try:
@@ -98,6 +102,103 @@ def render_terms(terms: Iterable[tuple[str, str]]) -> str:
         else:
             text += " + " + part
     return text or "0"
+
+
+class Combination:
+    """A sparse linear combination: ``terms`` maps keys to nonzero CoeffPoly
+    coefficients, in the order add_term leaves them, over a context that the
+    operands of one operation share.
+
+    The module arithmetic of PBWElement, SubElement, GroupAlgebraElement and
+    XPoly lives here once. A subclass keeps its context in its own slots and
+    supplies ``_context()``, the constructor arguments before ``terms`` (so
+    ``cls(*context, terms)`` builds an element), ``_unit()``, and its own
+    product in ``__mul__``, which hands an operand of any other type to
+    ``Combination.__mul__``. An operand of another type gives NotImplemented,
+    so a mixed operation raises TypeError; operands from different contexts
+    raise ContextMismatch.
+    """
+
+    __slots__ = ("terms",)
+
+    def _context(self) -> tuple:
+        raise NotImplementedError
+
+    def _unit(self):
+        raise NotImplementedError
+
+    @classmethod
+    def zero(cls, *context):
+        return cls(*context)
+
+    def _new(self, terms: dict):
+        """An element of this context with the given terms."""
+        return self.__class__(*self._context(), terms)
+
+    def _check(self, other) -> None:
+        if self._context() != other._context():
+            raise ContextMismatch("operands from different %s contexts" % self.__class__.__name__)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            sub_term(out, key, c)
+        return self._new(out)
+
+    def scaled(self, c):
+        """c * self for a CoeffPoly or a number; a number enters as an exact
+        scalar, so by 1 each coefficient is shared, not copied."""
+        if not isinstance(c, CoeffPoly):
+            c = _exact_scalar(c)
+        if not c:
+            return self._new({})
+        return self._new({key: v * c for key, v in self.terms.items()})
+
+    def __mul__(self, other):
+        """The multiple by a scalar, from either side; a subclass multiplies
+        two of its own elements in its __mul__."""
+        if not isinstance(other, CoeffPoly):
+            try:
+                other = _exact_scalar(other)
+            except TypeError:
+                # not a scalar: another type may multiply in its __rmul__
+                return NotImplemented
+        return self.scaled(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self._unit()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 def render_monomial(exp: Sequence[int], names: Sequence[str]) -> str:
@@ -210,12 +311,17 @@ class CoeffPoly:
         exp = tuple(1 if i == index else 0 for i in range(nsym))
         return CoeffPoly(nsym, {exp: 1})
 
-    def _coerce(self, other) -> CoeffPoly:
+    def _coerce(self, other) -> CoeffPoly | None:
+        """other as a polynomial of this ring, or None when it is not a scalar."""
         if isinstance(other, CoeffPoly):
             if other.nsym != self.nsym:
-                raise ValueError("mixed coupling contexts: %d vs %d symbols" % (self.nsym, other.nsym))
+                raise ContextMismatch("mixed coupling contexts: %d vs %d symbols"
+                                      % (self.nsym, other.nsym))
             return other
-        return CoeffPoly.const(other, self.nsym)
+        try:
+            return CoeffPoly.const(other, self.nsym)
+        except TypeError:
+            return None
 
     # -- ring operations ----------------------------------------------------
 
@@ -238,6 +344,8 @@ class CoeffPoly:
             v = v1 + v2
             return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             add_term(out, e, c)
@@ -256,10 +364,12 @@ class CoeffPoly:
                 return CoeffPoly(self.nsym, {e1: v1, e2: -v2})
             v = v1 - v2
             return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> CoeffPoly:
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other) -> CoeffPoly:
         if not isinstance(other, CoeffPoly):
@@ -467,29 +577,28 @@ def _gcd_univariate(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
 # XPoly: polynomials in the coordinates
 # ---------------------------------------------------------------------------
 
-class XPoly:
+class XPoly(Combination):
     """Polynomial in x1..xN with CoeffPoly coefficients.
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero CoeffPoly.
     """
 
-    __slots__ = ("nvars", "nsym", "terms")
+    __slots__ = ("nvars", "nsym")
 
     def __init__(self, nvars: int, nsym: int, terms: dict[tuple[int, ...], CoeffPoly] | None = None):
         self.nvars = nvars
         self.nsym = nsym
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(nvars: int, nsym: int) -> XPoly:
-        return XPoly(nvars, nsym)
+    def _context(self) -> tuple:
+        return self.nvars, self.nsym
+
+    def _unit(self) -> XPoly:
+        return XPoly.one(self.nvars, self.nsym)
 
     @staticmethod
     def const(value, nvars: int, nsym: int) -> XPoly:
-        c = value if isinstance(value, CoeffPoly) else CoeffPoly.const(value, nsym)
-        if c.is_zero():
-            return XPoly(nvars, nsym)
-        return XPoly(nvars, nsym, {(0,) * nvars: c})
+        return XPoly.monomial((0,) * nvars, nvars, nsym, value)
 
     @staticmethod
     def one(nvars: int, nsym: int) -> XPoly:
@@ -517,67 +626,16 @@ class XPoly:
                 terms[exp] = CoeffPoly.const(v, nsym)
         return XPoly(n, nsym, terms)
 
-    def _check(self, other: XPoly) -> None:
-        if self.nvars != other.nvars or self.nsym != other.nsym:
-            raise ValueError("mixed polynomial contexts")
-
-    def __add__(self, other: XPoly) -> XPoly:
-        if not isinstance(other, XPoly):
-            return NotImplemented  # a localized element adds in __radd__
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            add_term(out, e, c)
-        return XPoly(self.nvars, self.nsym, out)
-
-    def __neg__(self) -> XPoly:
-        return XPoly(self.nvars, self.nsym, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: XPoly) -> XPoly:
-        return self + (-other)
-
     def __mul__(self, other) -> XPoly:
-        if isinstance(other, XPoly):
-            self._check(other)
-            out: dict[tuple[int, ...], CoeffPoly] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            return XPoly(self.nvars, self.nsym, out)
-        if not isinstance(other, CoeffPoly):
-            try:
-                other = _exact_scalar(other)
-            except TypeError:
-                # not a scalar: a localized or algebra element multiplies in __rmul__
-                return NotImplemented
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c) -> XPoly:
-        if not isinstance(c, CoeffPoly):
-            c = CoeffPoly.const(c, self.nsym)
-        if c.is_zero():
-            return XPoly(self.nvars, self.nsym)
-        return XPoly(self.nvars, self.nsym, {e: v * c for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> XPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        out = XPoly.one(self.nvars, self.nsym)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return (self.nvars, self.nsym) == (other.nvars, other.nsym) and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        if other.__class__ is not XPoly:
+            # a scalar; a localized or algebra element multiplies in __rmul__
+            return super().__mul__(other)
+        self._check(other)
+        out: dict[tuple[int, ...], CoeffPoly] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return XPoly(self.nvars, self.nsym, out)
 
     def degree(self) -> int:
         if not self.terms:
@@ -636,7 +694,7 @@ class XPoly:
         """Product with the linear form (vec, x): one exponent shift per
         nonzero entry of vec."""
         if len(vec) != self.nvars:
-            raise ValueError("mixed polynomial contexts")
+            raise ContextMismatch("mixed polynomial contexts")
         parts = [(k, _exact_scalar(v)) for k, v in enumerate(vec) if v]
         acc: dict[tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
@@ -656,7 +714,7 @@ class XPoly:
         nonzero rational.
         """
         if len(vec) != self.nvars:
-            raise ValueError("mixed polynomial contexts")
+            raise ContextMismatch("mixed polynomial contexts")
         j = next((k for k, v in enumerate(vec) if v), None)
         if j is None:
             raise ZeroDivisionError("division by the zero linear form")
@@ -782,7 +840,7 @@ class LocPoly:
 
     def _check(self, other: LocPoly) -> None:
         if self.roots != other.roots:
-            raise ValueError("mixed localization contexts")
+            raise ContextMismatch("mixed localization contexts")
 
     def _lifted(self, den: dict[int, int]) -> XPoly:
         """The numerator over den, a multiple of this denominator."""
@@ -813,6 +871,11 @@ class LocPoly:
 
     def __sub__(self, other: LocPoly | XPoly) -> LocPoly:
         return self + (-other)
+
+    def __rsub__(self, other: XPoly) -> LocPoly:
+        if isinstance(other, XPoly):
+            return LocPoly.from_poly(other, self.roots) - self
+        return NotImplemented
 
     def __mul__(self, other) -> LocPoly:
         if isinstance(other, LocPoly):

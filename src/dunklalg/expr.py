@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .cherednik import (
     CherednikContext,
+    PBWElement,
     angular_hamiltonian,
     angular_momentum_ij,
     commutator,
@@ -34,12 +35,13 @@ from .cherednik import (
     group,
     hamiltonian_H,
     m_squared,
+    one,
     rho,
     s_elem,
     s_sum,
-    scalar,
     x_gen,
 )
+from .coxeter import invariant_sum_S
 from .exactmath import CoeffPoly
 from .subalgebra import SubElement, SubWord, get_subalgebra, h_omega_subelement, rho_subelement, word_from_pairs
 
@@ -407,6 +409,15 @@ def _reflection_by_root(ctx: CherednikContext, k: int):
     return ctx.rs.reflection(k - 1)
 
 
+def _reflection(ctx: CherednikContext, indices: tuple[int, ...]):
+    """s[k], the reflection in the k-th positive root, or s[i,j], the
+    transposition of e_i and e_j."""
+    if len(indices) == 1:
+        return _reflection_by_root(ctx, indices[0])
+    i, j = (_check_index(ctx, v) for v in indices)
+    return _transposition(ctx, i, j)
+
+
 def _transposition(ctx: CherednikContext, i: int, j: int):
     n = ctx.n
     vec = tuple(Fraction(1 if t == i else (-1 if t == j else 0)) for t in range(n))
@@ -416,14 +427,14 @@ def _transposition(ctx: CherednikContext, i: int, j: int):
     return ctx.rs.reflection(hit[0])
 
 
-class PBWEvaluator:
-    """Evaluate an AST in the full rewriting algebra."""
+class Evaluator:
+    """Evaluate an AST by one dispatch over its nodes. A mode supplies its
+    unit, through which every scalar enters, and builds the other leaves:
+    group elements, named elements and atoms."""
 
-    def __init__(self, ctx: CherednikContext):
+    def __init__(self, ctx: CherednikContext, unit):
         self.ctx = ctx
-
-    def scalar(self, c) -> "PBWElement":
-        return scalar(self.ctx, c)
+        self.unit = unit
 
     def eval(self, node: Node):
         ctx = self.ctx
@@ -442,13 +453,13 @@ class PBWEvaluator:
         if isinstance(node, Anti):
             return anticommutator(self.eval(node.left), self.eval(node.right))
         if isinstance(node, RatLit):
-            return self.scalar(node.value)
+            return self.unit.scaled(node.value)
         if isinstance(node, Coupling):
-            return self.scalar(self._coupling(node.name))
+            return self.unit.scaled(self._coupling(node.name))
         if isinstance(node, RankN):
-            return self.scalar(ctx.n)
+            return self.unit.scaled(ctx.n)
         if isinstance(node, GroupW):
-            return group(ctx, _group_from_images(ctx, node.images))
+            return self._group(_group_from_images(ctx, node.images))
         if isinstance(node, Named):
             return self._named(node.name)
         if isinstance(node, Atom):
@@ -462,128 +473,88 @@ class PBWEvaluator:
             raise EvalError("unknown coupling %r; this system has %s" % (name, list(symbols)))
         return ctx.gmap.of_orbit(symbols.index(name))
 
-    def _named(self, name: str):
-        ctx = self.ctx
-        if name == "Ssum":
-            return s_sum(ctx)
-        if name == "H":
-            return hamiltonian_H(ctx)
-        if name == "HOmega":
-            return angular_hamiltonian(ctx)
-        if name == "Msq":
-            return m_squared(ctx)
-        if name == "rho":
-            return rho(ctx)
-        raise EvalError("unknown named element %r" % name)
 
-    def _atom(self, node: Atom):
+_PBW_NAMED = {"Ssum": s_sum, "H": hamiltonian_H, "HOmega": angular_hamiltonian,
+              "Msq": m_squared, "rho": rho}
+
+
+class PBWEvaluator(Evaluator):
+    """Leaves in the full rewriting algebra."""
+
+    def __init__(self, ctx: CherednikContext):
+        super().__init__(ctx, one(ctx))
+
+    def _group(self, w) -> PBWElement:
+        return group(self.ctx, w)
+
+    def _named(self, name: str) -> PBWElement:
+        build = _PBW_NAMED.get(name)
+        if build is None:
+            raise EvalError("unknown named element %r" % name)
+        return build(self.ctx)
+
+    def _atom(self, node: Atom) -> PBWElement:
         ctx = self.ctx
         if node.kind == "x":
             return x_gen(ctx, _check_index(ctx, node.indices[0]))
         if node.kind == "D":
             return d_gen(ctx, _check_index(ctx, node.indices[0]))
-        if node.kind == "M":
-            i, j = (_check_index(ctx, v) for v in node.indices)
-            return angular_momentum_ij(ctx, i, j)
-        if node.kind == "E":
-            i, j = (_check_index(ctx, v) for v in node.indices)
-            return e_generator(ctx, i, j)
-        if node.kind == "S":
-            i, j = (_check_index(ctx, v) for v in node.indices)
-            return s_elem(ctx, i, j)
         if node.kind == "s":
-            if len(node.indices) == 1:
-                return group(ctx, _reflection_by_root(ctx, node.indices[0]))
-            i, j = (_check_index(ctx, v) for v in node.indices)
-            return group(ctx, _transposition(ctx, i, j))
-        raise EvalError("atom %s is not available" % node.kind)
+            return self._group(_reflection(ctx, node.indices))
+        build = {"M": angular_momentum_ij, "E": e_generator, "S": s_elem}.get(node.kind)
+        if build is None:
+            raise EvalError("atom %s is not available" % node.kind)
+        i, j = (_check_index(ctx, v) for v in node.indices)
+        return build(ctx, i, j)
 
 
-class SubEvaluator:
-    """Evaluate an AST inside the so or gl subalgebra (basis-normal output)."""
+class SubEvaluator(Evaluator):
+    """Leaves inside the so or gl subalgebra (basis-normal output)."""
 
     def __init__(self, ctx: CherednikContext, family: str):
-        self.ctx = ctx
         self.family = family
         self.alg = get_subalgebra(ctx, family)
+        super().__init__(ctx, SubElement.of(self.alg, SubWord((), ctx.e)))
 
-    def scalar(self, c) -> SubElement:
-        if not isinstance(c, CoeffPoly):
-            c = self.ctx.one * c
-        return SubElement.of(self.alg, SubWord((), self.ctx.e), c)
+    def _group(self, w) -> SubElement:
+        return SubElement.of(self.alg, SubWord((), w))
 
-    def _group_word(self, w) -> SubElement:
-        return SubElement.of(self.alg, SubWord((), w), self.ctx.one)
+    def _group_sum(self, terms) -> SubElement:
+        return SubElement(self.alg, {SubWord((), w): c for w, c in terms})
 
-    def eval(self, node: Node) -> SubElement:
+    def _named(self, name: str) -> SubElement:
         ctx = self.ctx
-        if isinstance(node, Add):
-            return self.eval(node.left) + self.eval(node.right)
-        if isinstance(node, Sub):
-            return self.eval(node.left) - self.eval(node.right)
-        if isinstance(node, Mul):
-            return self.eval(node.left) * self.eval(node.right)
-        if isinstance(node, Neg):
-            return -self.eval(node.operand)
-        if isinstance(node, Pow):
-            base = self.eval(node.base)
-            out = self.scalar(1)
-            for _ in range(node.exponent):
-                out = out * base
-            return out
-        if isinstance(node, Com):
-            a, b = self.eval(node.left), self.eval(node.right)
-            return a * b - b * a
-        if isinstance(node, Anti):
-            a, b = self.eval(node.left), self.eval(node.right)
-            return a * b + b * a
-        if isinstance(node, RatLit):
-            return self.scalar(node.value)
-        if isinstance(node, Coupling):
-            return self.scalar(PBWEvaluator(ctx)._coupling(node.name))
-        if isinstance(node, RankN):
-            return self.scalar(ctx.n)
-        if isinstance(node, GroupW):
-            return self._group_word(_group_from_images(ctx, node.images))
-        if isinstance(node, Named):
-            if node.name == "Ssum":
-                from .coxeter import invariant_sum_S
-                ga = invariant_sum_S(ctx.rs, ctx.gmap)
-                return SubElement(self.alg, {SubWord((), w): c for w, c in ga.terms.items()})
-            if node.name == "HOmega" and self.family == "so":
-                return h_omega_subelement(self.alg)
-            if node.name == "Msq" and self.family == "so":
-                return SubElement(self.alg, {SubWord(((i, j, 2),), ctx.e): ctx.one
-                                             for i in range(ctx.n) for j in range(i + 1, ctx.n)})
-            if node.name == "rho" and self.family == "gl":
-                return rho_subelement(self.alg)
-            raise EvalError("%s is not an element of the %s subalgebra" % (node.name, self.family))
-        if isinstance(node, Atom):
-            if node.kind == "M" and self.family == "so":
-                i, j = (_check_index(ctx, v) for v in node.indices)
-                if i == j:
-                    return SubElement(self.alg)
-                if i < j:
-                    return SubElement.of(self.alg, word_from_pairs(((i, j),), ctx.e))
-                return -SubElement.of(self.alg, word_from_pairs(((j, i),), ctx.e))
-            if node.kind == "E" and self.family == "gl":
-                i, j = (_check_index(ctx, v) for v in node.indices)
-                return SubElement.of(self.alg, word_from_pairs(((i, j),), ctx.e))
-            if node.kind == "M" and self.family == "gl":
-                i, j = (_check_index(ctx, v) for v in node.indices)
-                return (SubElement.of(self.alg, word_from_pairs(((i, j),), ctx.e))
-                        - SubElement.of(self.alg, word_from_pairs(((j, i),), ctx.e)))
-            if node.kind == "S":
-                i, j = (_check_index(ctx, v) for v in node.indices)
-                return SubElement(self.alg, {SubWord((), w): c for w, c in ctx.s_terms(i, j)})
-            if node.kind == "s":
-                if len(node.indices) == 1:
-                    return self._group_word(_reflection_by_root(ctx, node.indices[0]))
-                i, j = (_check_index(ctx, v) for v in node.indices)
-                return self._group_word(_transposition(ctx, i, j))
+        if name == "Ssum":
+            return self._group_sum(invariant_sum_S(ctx.rs, ctx.gmap).terms.items())
+        if name == "HOmega" and self.family == "so":
+            return h_omega_subelement(self.alg)
+        if name == "Msq" and self.family == "so":
+            return SubElement(self.alg, {SubWord(((i, j, 2),), ctx.e): ctx.one
+                                         for i in range(ctx.n) for j in range(i + 1, ctx.n)})
+        if name == "rho" and self.family == "gl":
+            return rho_subelement(self.alg)
+        raise EvalError("%s is not an element of the %s subalgebra" % (name, self.family))
+
+    def _atom(self, node: Atom) -> SubElement:
+        ctx = self.ctx
+        if node.kind == "s":
+            return self._group(_reflection(ctx, node.indices))
+        if node.kind == "S":
+            i, j = (_check_index(ctx, v) for v in node.indices)
+            return self._group_sum(ctx.s_terms(i, j))
+        if (node.kind, self.family) not in (("M", "so"), ("E", "gl"), ("M", "gl")):
             raise EvalError("atom %s is not available in the %s subalgebra"
                             % (node.kind, self.family))
-        raise TypeError("unknown node %r" % (node,))
+        i, j = (_check_index(ctx, v) for v in node.indices)
+
+        def gen(k: int, l: int) -> SubElement:
+            return SubElement.of(self.alg, word_from_pairs(((k, l),), ctx.e))
+
+        if self.family == "gl":
+            return gen(i, j) if node.kind == "E" else gen(i, j) - gen(j, i)
+        if i == j:
+            return SubElement(self.alg)
+        return gen(i, j) if i < j else -gen(j, i)
 
 
 def evaluate(text_or_ast, ctx: CherednikContext, mode: str = "cherednik"):

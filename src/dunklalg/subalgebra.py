@@ -63,6 +63,7 @@ from .cherednik import (
 from .coxeter import GroupElement, invariant_sum_S
 from .exactmath import (
     CoeffPoly,
+    Combination,
     XPoly,
     add_term,
     render_terms,
@@ -465,54 +466,30 @@ class SubAlgebra:
         return cached
 
 
-class SubElement:
+class SubElement(Combination):
     """CoeffPoly-linear combination of SubWords."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: SubAlgebra, terms: dict[SubWord, CoeffPoly] | None = None):
         self.alg = alg
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(alg: SubAlgebra) -> SubElement:
-        return SubElement(alg)
+    def _context(self) -> tuple:
+        return (self.alg,)
+
+    def _unit(self) -> SubElement:
+        return SubElement.of(self.alg, SubWord((), self.alg.ctx.e))
 
     @staticmethod
     def of(alg: SubAlgebra, word: SubWord, coeff=None) -> SubElement:
-        c = coeff if coeff is not None else alg.ctx.one
-        if not isinstance(c, CoeffPoly):
-            c = alg.ctx.one * c
-        if c.is_zero():
-            return SubElement(alg)
-        return SubElement(alg, {word: c})
+        unit = SubElement(alg, {word: alg.ctx.one})
+        return unit if coeff is None else unit.scaled(coeff)
 
-    def _check(self, other: SubElement) -> None:
-        if self.alg is not other.alg:
-            raise ValueError("mixed subalgebra contexts")
-
-    def __add__(self, other: SubElement) -> SubElement:
-        self._check(other)
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            add_term(out, word, c)
-        return SubElement(self.alg, out)
-
-    def __neg__(self) -> SubElement:
-        return SubElement(self.alg, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: SubElement) -> SubElement:
-        return self + (-other)
-
-    def scaled(self, c) -> SubElement:
-        if not isinstance(c, CoeffPoly):
-            c = self.alg.ctx.one * c
-        if c.is_zero():
-            return SubElement(self.alg)
-        return SubElement(self.alg, {w: v * c for w, v in self.terms.items()})
-
-    def __mul__(self, other: SubElement) -> SubElement:
+    def __mul__(self, other) -> SubElement:
         """Product followed by straightening to the basis."""
+        if other.__class__ is not SubElement:
+            return super().__mul__(other)
         self._check(other)
         alg = self.alg
         terms: dict[SubWord, CoeffPoly] = {}
@@ -542,16 +519,6 @@ class SubElement:
 
     def is_supported_on_basis(self) -> bool:
         return all(self.alg._is_basis(w.pairs()) for w in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubElement):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    __hash__ = None
 
     def render(self) -> str:
         names = self.alg.ctx.rs.symbols
@@ -796,10 +763,7 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
     for u_idx, word in enumerate(unknowns):
         p = SubElement.of(alg, word)
         for c_idx, gen in enumerate(constraints):
-            com = (p * gen).terms
-            for key, coeff in (gen * p).terms.items():
-                add_term(com, key, -coeff)
-            for key, coeff in com.items():
+            for key, coeff in (p * gen - gen * p).terms.items():
                 rows_by_key.setdefault((c_idx, key), {})[u_idx] = coeff
     basis_vectors, _ = sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)
     # the unknowns are distinct words, so no two coordinates share a key

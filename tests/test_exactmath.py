@@ -7,10 +7,12 @@ from functools import partial
 
 import pytest
 
-from dunklalg.cherednik import CherednikContext, angular_momentum_ij
+from dunklalg import cherednik
+from dunklalg.cherednik import CherednikContext, angular_momentum_ij, d_gen, group, one, x_gen
 from dunklalg.coxeter import GroupAlgebraElement, build_root_system
 from dunklalg.exactmath import (
     CoeffPoly,
+    ContextMismatch,
     LocPoly,
     NotDivisible,
     XPoly,
@@ -26,7 +28,7 @@ from dunklalg.exactmath import (
     sparse_rank_numeric,
     sparse_rank_symbolic,
 )
-from dunklalg.subalgebra import in_span
+from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra, in_span
 
 
 def rand_coeffpoly(rng, nsym=1, deg=3):
@@ -119,7 +121,8 @@ def test_coupling_times_algebra_element_scales_from_either_side():
     g = ctx.gmap.of_orbit(0)
     for m in (angular_momentum_ij(ctx, 0, 1),
               XPoly.monomial((1, 2), 2, ctx.nsym) + XPoly.monomial((0, 1), 2, ctx.nsym),
-              GroupAlgebraElement.of(ctx.rs, ctx.rs.reflection(0), ctx.one)):
+              GroupAlgebraElement.of(ctx.rs, ctx.rs.reflection(0), ctx.one),
+              SubElement.of(get_subalgebra(ctx, "so"), SubWord(((0, 1, 1),), ctx.rs.reflection(0)))):
         left = g * m
         assert left == m * g and type(left) is type(m)
         assert not left.scaled(2) == m * g
@@ -127,6 +130,57 @@ def test_coupling_times_algebra_element_scales_from_either_side():
     assert half == Fraction(1, 2) * g and half + half == g
     with pytest.raises(TypeError):
         g * object()
+
+
+def _combination_case(kind):
+    """(x, y, unit, x from another context, an operand of another type) at B2."""
+    ctx = CherednikContext(build_root_system("B", 2))
+    rs, nsym, g = ctx.rs, ctx.nsym, ctx.gmap.of_orbit(1)
+    s0, s1 = rs.reflection(0), rs.reflection(1)
+    if kind == "PBWElement":
+        x = angular_momentum_ij(ctx, 0, 1) + x_gen(ctx, 1).scaled(g)
+        y = d_gen(ctx, 0) * group(ctx, s0) - x_gen(ctx, 1)
+        other = x_gen(CherednikContext(rs), 0)
+        return x, y, one(ctx), other, SubElement.of(get_subalgebra(ctx, "so"), SubWord((), s0))
+    if kind == "SubElement":
+        alg = get_subalgebra(ctx, "so")
+        x = SubElement.of(alg, SubWord(((0, 1, 1),), s0), g) + SubElement.of(alg, SubWord((), s1))
+        y = SubElement.of(alg, SubWord(((0, 1, 2),), ctx.e), 3) - SubElement.of(alg, SubWord((), s1))
+        other = SubElement.of(get_subalgebra(ctx, "gl"), SubWord(((0, 1, 1),), ctx.e))
+        return x, y, SubElement.of(alg, SubWord((), ctx.e)), other, x_gen(ctx, 0)
+    if kind == "GroupAlgebraElement":
+        x = GroupAlgebraElement.of(rs, s0, g) + GroupAlgebraElement.of(rs, s1, ctx.one)
+        y = GroupAlgebraElement.of(rs, s0 * s1, g * 2) - GroupAlgebraElement.of(rs, s1, ctx.one)
+        other = GroupAlgebraElement.unit(rs, nsym + 1)
+        return x, y, GroupAlgebraElement.unit(rs, nsym), other, XPoly.one(2, nsym)
+    x = XPoly.monomial((1, 2), 2, nsym, g) + XPoly.variable(1, 2, nsym)
+    y = XPoly.monomial((0, 1), 2, nsym, g * g) - XPoly.variable(1, 2, nsym)
+    return x, y, XPoly.one(2, nsym), XPoly.variable(0, 3, nsym), GroupAlgebraElement.unit(rs, nsym)
+
+
+@pytest.mark.parametrize("kind", ["PBWElement", "SubElement", "GroupAlgebraElement", "XPoly"])
+def test_linear_combinations_share_one_arithmetic(kind):
+    x, y, unit, other, foreign = _combination_case(kind)
+    assert type(x).__name__ == kind and x.terms and y.terms
+    assert not (x - x).terms and (x + y) - y == x and -(-x) == x
+    assert not x.scaled(0).terms
+    assert 2 * x == x * 2 == x + x
+    assert x ** 0 == unit and x ** 2 == x * x
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ContextMismatch):
+            op(x, other)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(x, foreign)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(foreign, x)
+    # a scalar scales but never adds, also when it is a coupling polynomial
+    g = CoeffPoly.symbol(0, 2)
+    for a, b in ((x, 1), (1, x), (x, g), (g, x)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + b
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a - b
+    assert ContextMismatch is cherednik.ContextMismatch and issubclass(ContextMismatch, ValueError)
 
 
 def test_render_terms_signs_and_units():
