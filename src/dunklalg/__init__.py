@@ -53,11 +53,8 @@ from .subalgebra import (
     SubElement,
     SubWord,
     centralizer,
-    embed,
     enumerate_basis_gl,
     enumerate_basis_so,
-    normal_form_gl,
-    normal_form_so,
     pbw_rank_check,
 )
 

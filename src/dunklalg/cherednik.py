@@ -12,10 +12,12 @@ The single-step products are memoized per context, and moving x^a or D^b
 across a group element uses the root system's memoized ``act_exp``. On top
 of these, each context memoizes the product template of (w1 D^b1)(x^a2 w2),
 so a product of two terms costs one exponent shift and one coefficient
-product per output term. These memos are the only shared state. Each is a
-read-mostly cache of immutable values that depend only on their key, so
-concurrent use is safe: a thread that loses a race to fill a template
-reads the winner's entry, which is equal to its own.
+product per output term. The named elements (M_ij, E_kl, H_Omega, rho, the
+subalgebras, ...) are memoized per context by ``named``. These memos are the
+only shared state. Each is a read-mostly cache of values that depend only on
+their key, so concurrent use is safe: a thread that loses a race to fill a
+template reads the winner's entry, which is equal to its own, and ``named``
+stores with setdefault, so every thread gets the one object that won.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -65,6 +67,15 @@ class CherednikContext:
         self._dbx: dict = {}
         self._tm: dict = {}
         self._named: dict = {}
+
+    def named(self, key, build):
+        """The value stored under key, made by build() on first use. It is
+        stored with setdefault, so a thread that loses a race to build it
+        gets the value that won and every caller shares one object."""
+        cached = self._named.get(key)
+        if cached is None:
+            cached = self._named.setdefault(key, build())
+        return cached
 
     def s_terms(self, i: int, j: int) -> tuple[tuple[GroupElement, CoeffPoly], ...]:
         """S_{e_i e_j} as (group element, coefficient) pairs."""
@@ -202,18 +213,12 @@ class PBWElement(Combination):
 
     # -- canonical serialization ---------------------------------------------
 
-    @staticmethod
-    def _w_sort_key(w: GroupElement):
-        if w.perm is not None:
-            return (0, w.image_key())
-        return (1, tuple(v for col in w.cols for v in col))
-
     def _term_sort_key(self, key: TermKey):
         a, w, b = key
         return (-(sum(a) + sum(b)), -sum(a),
                 tuple(-v for v in grevlex_key(a)[1]),
                 tuple(-v for v in grevlex_key(b)[1]),
-                self._w_sort_key(w))
+                w.sort_key())
 
     @staticmethod
     def _render_group(w: GroupElement) -> str:
@@ -271,13 +276,10 @@ def s_elem(ctx: CherednikContext, i: int, j: int) -> PBWElement:
     return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ctx.s_terms(i, j)})
 
 def s_sum(ctx: CherednikContext) -> PBWElement:
-    key = "s_sum"
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         ga = invariant_sum_S(ctx.rs, ctx.gmap)
-        cached = PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ga.terms.items()})
-        ctx._named[key] = cached
-    return cached
+        return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ga.terms.items()})
+    return ctx.named("s_sum", build)
 
 
 def commutator(p: PBWElement, q: PBWElement) -> PBWElement:
@@ -302,38 +304,26 @@ def angular_momentum(ctx: CherednikContext, xi: Sequence, eta: Sequence) -> PBWE
 
 
 def angular_momentum_ij(ctx: CherednikContext, i: int, j: int) -> PBWElement:
-    key = ("M", i, j)
-    cached = ctx._named.get(key)
-    if cached is None:
-        n = ctx.n
-        cached = angular_momentum(ctx,
-                                  [1 if k == i else 0 for k in range(n)],
-                                  [1 if k == j else 0 for k in range(n)])
-        ctx._named[key] = cached
-    return cached
+    n = ctx.n
+    return ctx.named(("M", i, j), lambda: angular_momentum(
+        ctx, [1 if k == i else 0 for k in range(n)], [1 if k == j else 0 for k in range(n)]))
 
 
 def e_generator(ctx: CherednikContext, k: int, l: int) -> PBWElement:
     """E_kl = a+_k a_l = (x_k - D_k)(x_l + D_l) / 2 in normal form."""
-    key = ("E", k, l)
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         plus = x_gen(ctx, k) - d_gen(ctx, k)
         minus = x_gen(ctx, l) + d_gen(ctx, l)
-        cached = (plus * minus).scaled(Fraction(1, 2))
-        ctx._named[key] = cached
-    return cached
+        return (plus * minus).scaled(Fraction(1, 2))
+    return ctx.named(("E", k, l), build)
 
 
 def hamiltonian_H(ctx: CherednikContext) -> PBWElement:
-    key = "H"
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         half = CoeffPoly.const(Fraction(-1, 2), ctx.nsym)
-        cached = PBWElement(ctx, {
+        return PBWElement(ctx, {
             (ctx.zero_exp, ctx.e, _bump(ctx.zero_exp, i, 2)): half for i in range(ctx.n)})
-        ctx._named[key] = cached
-    return cached
+    return ctx.named("H", build)
 
 
 def x_squared(ctx: CherednikContext) -> PBWElement:
@@ -348,41 +338,32 @@ def euler_xd(ctx: CherednikContext) -> PBWElement:
 
 
 def m_squared(ctx: CherednikContext) -> PBWElement:
-    key = "M2"
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         acc = PBWElement(ctx)
         for i in range(ctx.n):
             for j in range(i + 1, ctx.n):
                 m = angular_momentum_ij(ctx, i, j)
                 acc = acc + m * m
-        ctx._named[key] = acc
-        cached = acc
-    return cached
+        return acc
+    return ctx.named("M2", build)
 
 
 def angular_hamiltonian(ctx: CherednikContext) -> PBWElement:
     """H_Omega = -M^2/2 + S(S - N + 2)/2."""
-    key = "HOmega"
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         S = s_sum(ctx)
         shifted = S - scalar(ctx, ctx.n - 2)
-        cached = (S * shifted - m_squared(ctx)).scaled(Fraction(1, 2))
-        ctx._named[key] = cached
-    return cached
+        return (S * shifted - m_squared(ctx)).scaled(Fraction(1, 2))
+    return ctx.named("HOmega", build)
 
 
 def rho(ctx: CherednikContext) -> PBWElement:
-    key = "rho"
-    cached = ctx._named.get(key)
-    if cached is None:
+    def build():
         acc = PBWElement(ctx)
         for i in range(ctx.n):
             acc = acc + e_generator(ctx, i, i)
-        cached = acc - s_sum(ctx)
-        ctx._named[key] = cached
-    return cached
+        return acc - s_sum(ctx)
+    return ctx.named("rho", build)
 
 
 def gamma_pm(ctx: CherednikContext, sign: int) -> CoeffPoly:

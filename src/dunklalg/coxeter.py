@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactmath import CoeffPoly, Combination, add_term, format_rational, parse_rational, render_terms
+from .exactmath import (CoeffPoly, Combination, add_term, format_rational, parse_rational,
+                        render_terms, sparse_nullspace)
 
 Vector = tuple[Fraction, ...]
 
@@ -70,35 +71,6 @@ def _apply_cols(cols: Sequence[Vector], vec: Sequence[Fraction]) -> Vector:
 def _transpose(cols: Sequence[Vector]) -> tuple[Vector, ...]:
     """The inverse of an orthogonal matrix."""
     return tuple(zip(*cols))
-
-
-def _orthogonal_complement(vectors: Sequence[Vector], n: int) -> tuple[Vector, ...]:
-    """A basis of the vectors in Q^n orthogonal to every given vector."""
-    rows = [list(v) for v in vectors]
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][free]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 class GroupElement:
@@ -182,6 +154,13 @@ class GroupElement:
             return tuple(int(self.signs[j]) * (self.perm[j] + 1) for j in range(self.n))
         return self.cols
 
+    def sort_key(self) -> tuple:
+        """Printing order: signed permutations first, by their signed
+        images, then every other element by its columns."""
+        if self.perm is not None:
+            return (0, self.image_key())
+        return (1, tuple(v for col in self.cols for v in col))
+
     def render(self) -> str:
         if self.perm is not None:
             return "w(%s)" % ",".join(str(k) for k in self.image_key())
@@ -211,7 +190,10 @@ class RootSystem:
         # signed roots: k < m is positive root k, m + k is its negative
         signed = self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
         self._root_pos = {r: k for k, r in enumerate(signed)}
-        self._complement = _orthogonal_complement(self.positive_roots, rank)
+        # a basis of the orthogonal complement of the root span
+        rows = [{k: CoeffPoly.const(c, 0) for k, c in enumerate(r) if c} for r in self.positive_roots]
+        self._complement = tuple(tuple(c.substitute(()) for c in vec)
+                                 for vec in sparse_nullspace(rows, rank, 0)[0])
         self._ids = itertools.count()
         self._by_roots: dict[tuple[int, ...], GroupElement] = {}
         self._by_cols: dict[tuple[Vector, ...], GroupElement] = {}
@@ -539,7 +521,7 @@ class GroupAlgebraElement(Combination):
     def render(self) -> str:
         return render_terms((self.terms[w].render_atom(self.rs.symbols),
                              "1" if w.is_identity() else w.render())
-                            for w in sorted(self.terms, key=lambda w: w.image_key()))
+                            for w in sorted(self.terms, key=GroupElement.sort_key))
 
     def __repr__(self) -> str:
         return "GroupAlgebraElement(%s)" % self.render()

@@ -232,10 +232,13 @@ def _add_scaled(acc: dict, terms: dict, r) -> None:
 
 def _exact_scalar(v) -> int | Fraction:
     """v as an exact coefficient value: an int when it is integral, else a
-    Fraction. Floats and strings are converted exactly, never stored."""
+    Fraction. Floats are converted exactly, never stored. A string is not a
+    scalar and raises TypeError, like any other non-number."""
     if v.__class__ is int:
         return v
     if v.__class__ is not Fraction:
+        if isinstance(v, str):
+            raise TypeError("not a scalar: %r" % (v,))
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 

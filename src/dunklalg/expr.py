@@ -43,7 +43,7 @@ from .cherednik import (
 )
 from .coxeter import invariant_sum_S
 from .exactmath import CoeffPoly
-from .subalgebra import SubElement, SubWord, get_subalgebra, h_omega_subelement, rho_subelement, word_from_pairs
+from .subalgebra import SubElement, SubWord, get_subalgebra, h_omega_subelement, rho_subelement
 
 
 class ExprSyntaxError(ValueError):
@@ -529,7 +529,7 @@ class SubEvaluator(Evaluator):
         if name == "HOmega" and self.family == "so":
             return h_omega_subelement(self.alg)
         if name == "Msq" and self.family == "so":
-            return SubElement(self.alg, {SubWord(((i, j, 2),), ctx.e): ctx.one
+            return SubElement(self.alg, {SubWord(((i, j), (i, j)), ctx.e): ctx.one
                                          for i in range(ctx.n) for j in range(i + 1, ctx.n)})
         if name == "rho" and self.family == "gl":
             return rho_subelement(self.alg)
@@ -548,7 +548,7 @@ class SubEvaluator(Evaluator):
         i, j = (_check_index(ctx, v) for v in node.indices)
 
         def gen(k: int, l: int) -> SubElement:
-            return SubElement.of(self.alg, word_from_pairs(((k, l),), ctx.e))
+            return SubElement.of(self.alg, SubWord(((k, l),), ctx.e))
 
         if self.family == "gl":
             return gen(i, j) if node.kind == "E" else gen(i, j) - gen(j, i)

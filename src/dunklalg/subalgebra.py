@@ -1,7 +1,9 @@
 """The angular-momenta subalgebras: bases, straightening, flatness, centre.
 
-Words in the quadratic generators (antisymmetric M_ij for the so family,
-E_ij for the gl family) times a group tail are reduced to the canonical
+A word (SubWord) is a sequence of generator pairs (i, j), one per factor
+of the quadratic generators (antisymmetric M_ij for the so family, E_ij for
+the gl family), times a group tail. Products, normal forms and centralizer
+rows all work on that pair sequence, and words are reduced to the canonical
 basis:
 
   so basis words: factor list sorted by (i, then j), arc diagram without
@@ -46,10 +48,9 @@ bases. At B2 d4, 0.3 s of what is left is the H_c check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement, groupby
+from typing import NamedTuple, Sequence
 
 from .cherednik import (
     CherednikContext,
@@ -84,32 +85,32 @@ class CertificateFailure(ArithmeticError):
     """An exact certificate behind a centralizer basis did not hold."""
 
 
-@dataclass(frozen=True)
-class SubWord:
-    """Ordered product of generator powers followed by a group tail."""
+class SubWord(NamedTuple):
+    """Ordered product of generators followed by a group tail.
 
-    factors: tuple[tuple[int, int, int], ...]   # (i, j, power)
+    ``pairs`` is the generator sequence: (i, j) stands for M_ij (so) or E_ij
+    (gl), and a power is a run of equal pairs.
+    """
+
+    pairs: tuple[Pair, ...]
     tail: GroupElement
 
     def degree(self) -> int:
-        return sum(p for (_, _, p) in self.factors)
+        return len(self.pairs)
 
-    def pairs(self) -> tuple[Pair, ...]:
-        out = []
-        for (i, j, p) in self.factors:
-            out.extend([(i, j)] * p)
-        return tuple(out)
+    def _factors(self) -> tuple[tuple[int, int, int], ...]:
+        """The runs of equal pairs as (i, j, power)."""
+        return tuple((i, j, len(list(run))) for (i, j), run in groupby(self.pairs))
 
     def sort_key(self):
-        tailkey = self.tail.image_key()
-        if not isinstance(tailkey[0], int):
-            tailkey = tuple(v for col in self.tail.cols for v in col)
-        return (-self.degree(), self.factors, tailkey)
+        # runs, not pairs, so that M[1,2]^2 sorts after M[1,2]*M[1,3]; the
+        # tail by signed images or columns, without GroupElement's class tag
+        return (-self.degree(), self._factors(), self.tail.sort_key()[1])
 
     def render(self, family: str) -> str:
         sym = "M" if family == "so" else "E"
         parts = []
-        for (i, j, p) in self.factors:
+        for (i, j, p) in self._factors():
             base = "%s[%d,%d]" % (sym, i + 1, j + 1)
             parts.append(base if p == 1 else base + "^%d" % p)
         if not self.tail.is_identity():
@@ -117,37 +118,9 @@ class SubWord:
         return "*".join(parts) if parts else "1"
 
 
-def word_from_pairs(pairs: Sequence[Pair], tail: GroupElement) -> SubWord:
-    factors: list[tuple[int, int, int]] = []
-    for (i, j) in pairs:
-        if factors and factors[-1][0] == i and factors[-1][1] == j:
-            factors[-1] = (i, j, factors[-1][2] + 1)
-        else:
-            factors.append((i, j, 1))
-    return SubWord(tuple(factors), tail)
-
-
-@dataclass(frozen=True)
-class ArcDiagram:
-    """Multiset of arcs (i, j), i < j, drawn as semicircles over 1..N."""
-
-    arcs: tuple[Pair, ...]
-
-    @staticmethod
-    def of(word: SubWord) -> ArcDiagram:
-        return ArcDiagram(tuple(sorted(word.pairs())))
-
-    def crossing_count(self) -> int:
-        n = 0
-        arcs = self.arcs
-        for s in range(len(arcs)):
-            for t in range(s + 1, len(arcs)):
-                if _arcs_cross(arcs[s], arcs[t]):
-                    n += 1
-        return n
-
-    def is_noncrossing(self) -> bool:
-        return self.crossing_count() == 0
+def _noncrossing(pairs: Sequence[Pair]) -> bool:
+    """No two arcs (i, j), i < j, drawn as semicircles over 1..N, cross."""
+    return not any(_arcs_cross(u, v) for u, v in combinations(pairs, 2))
 
 
 def _arcs_cross(u: Pair, v: Pair) -> bool:
@@ -167,21 +140,15 @@ def _chain_sorted(pairs: Sequence[Pair]) -> bool:
 def enumerate_basis_so(n: int, d: int, tail: GroupElement) -> list[SubWord]:
     """Ordered non-crossing monomials of total degree exactly d."""
     gens = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for combo in combinations_with_replacement(gens, d):
-        if ArcDiagram(combo).is_noncrossing():
-            out.append(word_from_pairs(combo, tail))
-    return out
+    return [SubWord(combo, tail) for combo in combinations_with_replacement(gens, d)
+            if _noncrossing(combo)]
 
 
 def enumerate_basis_gl(n: int, d: int, tail: GroupElement) -> list[SubWord]:
     """Words with both index sequences weakly increasing, total degree d."""
     gens = [(i, j) for i in range(n) for j in range(n)]
-    out = []
-    for combo in combinations_with_replacement(sorted(gens), d):
-        if _chain_sorted(combo):
-            out.append(word_from_pairs(tuple(sorted(combo)), tail))
-    return out
+    return [SubWord(combo, tail) for combo in combinations_with_replacement(gens, d)
+            if _chain_sorted(combo)]
 
 
 def count_noncrossing_multisets(n: int, d: int) -> int:
@@ -231,7 +198,7 @@ class SubAlgebra:
         self.ctx = ctx
         self.family = family
         self.max_degree = max_degree
-        self._memo: dict[tuple[Pair, ...], dict[tuple[tuple[Pair, ...], GroupElement], CoeffPoly]] = {}
+        self._memo: dict[tuple[Pair, ...], dict[SubWord, CoeffPoly]] = {}
         self._embed_cache: dict[SubWord, PBWElement] = {}
         self._conj: dict[tuple[GroupElement, Pair], tuple[tuple[Pair, Fraction], ...]] = {}
 
@@ -319,7 +286,7 @@ class SubAlgebra:
         if any(pairs[r] > pairs[r + 1] for r in range(len(pairs) - 1)):
             return False
         if self.family == "so":
-            return ArcDiagram(pairs).is_noncrossing()
+            return _noncrossing(pairs)
         return _chain_sorted(pairs)
 
     def _emit_corrections(self, acc, prefix, corrections, suffix, coeff):
@@ -356,9 +323,9 @@ class SubAlgebra:
         cached = self._memo.get(pairs)
         if cached is not None:
             return cached
-        out: dict[tuple[tuple[Pair, ...], GroupElement], CoeffPoly] = {}
+        out: dict[SubWord, CoeffPoly] = {}
         if self._is_basis(pairs):
-            out[(pairs, self.ctx.e)] = self.ctx.one
+            out[SubWord(pairs, self.ctx.e)] = self.ctx.one
             self._memo[pairs] = out
             return out
 
@@ -414,13 +381,13 @@ class SubAlgebra:
 
         for (top, c) in tops:
             if self._is_basis(top):
-                add_term(out, (top, self.ctx.e), c)
+                add_term(out, SubWord(top, self.ctx.e), c)
             else:
-                for (bp, tail), c2 in self._straighten(top).items():
-                    add_term(out, (bp, tail), c * c2)
+                for word, c2 in self._straighten(top).items():
+                    add_term(out, word, c * c2)
         for (pw, w, c) in pending:
             for (bp, tail), c2 in self._straighten(pw).items():
-                add_term(out, (bp, tail * w), c * c2)
+                add_term(out, SubWord(bp, tail * w), c * c2)
         self._memo[pairs] = out
         return out
 
@@ -442,23 +409,20 @@ class SubAlgebra:
 
     # -- public word/element operations -----------------------------------------
 
-    def normal_form_word(self, word: SubWord):
+    def normal_form_word(self, word: SubWord) -> dict[SubWord, CoeffPoly]:
         if word.degree() > self.max_degree:
             raise DegreeBound("word degree %d exceeds bound %d" % (word.degree(), self.max_degree))
-        base = self._straighten(word.pairs())
-        out = {}
-        for (bp, tail), c in base.items():
-            add_term(out, (bp, tail * word.tail), c)
+        out: dict[SubWord, CoeffPoly] = {}
+        for (bp, tail), c in self._straighten(word.pairs).items():
+            add_term(out, SubWord(bp, tail * word.tail), c)
         return out
 
     def embed_word(self, word: SubWord) -> PBWElement:
         cached = self._embed_cache.get(word)
         if cached is None:
             acc = one(self.ctx)
-            for (i, j, p) in word.factors:
-                g = self.generator(i, j)
-                for _ in range(p):
-                    acc = acc * g
+            for (i, j) in word.pairs:
+                acc = acc * self.generator(i, j)
             if not word.tail.is_identity():
                 acc = acc * group(self.ctx, word.tail)
             cached = acc
@@ -496,19 +460,17 @@ class SubElement(Combination):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c12 = c1 * c2
-                for (p2, cc) in alg.conj_pairs(w1.tail, w2.pairs()):
-                    combined = SubWord(word_from_pairs(w1.pairs() + p2, alg.ctx.e).factors,
-                                       w1.tail * w2.tail)
-                    nf = alg.normal_form_word(combined)
-                    for (bp, tail), c3 in nf.items():
-                        add_term(terms, word_from_pairs(bp, tail), c12 * cc * c3)
+                for (p2, cc) in alg.conj_pairs(w1.tail, w2.pairs):
+                    nf = alg.normal_form_word(SubWord(w1.pairs + p2, w1.tail * w2.tail))
+                    for word, c3 in nf.items():
+                        add_term(terms, word, c12 * cc * c3)
         return SubElement(alg, terms)
 
     def normal_form(self) -> SubElement:
         terms: dict[SubWord, CoeffPoly] = {}
         for word, c in self.terms.items():
-            for (bp, tail), c2 in self.alg.normal_form_word(word).items():
-                add_term(terms, word_from_pairs(bp, tail), c * c2)
+            for word2, c2 in self.alg.normal_form_word(word).items():
+                add_term(terms, word2, c * c2)
         return SubElement(self.alg, terms)
 
     def embed(self) -> PBWElement:
@@ -518,7 +480,7 @@ class SubElement(Combination):
         return acc
 
     def is_supported_on_basis(self) -> bool:
-        return all(self.alg._is_basis(w.pairs()) for w in self.terms)
+        return all(self.alg._is_basis(w.pairs) for w in self.terms)
 
     def render(self) -> str:
         names = self.alg.ctx.rs.symbols
@@ -534,32 +496,7 @@ class SubElement(Combination):
 # ---------------------------------------------------------------------------
 
 def get_subalgebra(ctx: CherednikContext, family: str) -> SubAlgebra:
-    key = ("subalg", family)
-    alg = ctx._named.get(key)
-    if alg is None:
-        alg = SubAlgebra(ctx, family)
-        ctx._named[key] = alg
-    return alg
-
-
-def embed(item, alg: SubAlgebra | None = None) -> PBWElement:
-    if isinstance(item, SubElement):
-        return item.embed()
-    if alg is None:
-        raise ValueError("need a SubAlgebra to embed a bare word")
-    return alg.embed_word(item)
-
-
-def normal_form_so(e: SubElement) -> SubElement:
-    if e.alg.family != "so":
-        raise ValueError("element is not in the so family")
-    return e.normal_form()
-
-
-def normal_form_gl(e: SubElement) -> SubElement:
-    if e.alg.family != "gl":
-        raise ValueError("element is not in the gl family")
-    return e.normal_form()
+    return ctx.named(("subalg", family), lambda: SubAlgebra(ctx, family))
 
 
 def h_omega_subelement(alg: SubAlgebra) -> SubElement:
@@ -569,7 +506,7 @@ def h_omega_subelement(alg: SubAlgebra) -> SubElement:
     half = Fraction(-1, 2)
     for i in range(ctx.n):
         for j in range(i + 1, ctx.n):
-            add_term(terms, SubWord(((i, j, 2),), ctx.e), ctx.one * half)
+            add_term(terms, SubWord(((i, j), (i, j)), ctx.e), ctx.one * half)
     ga = invariant_sum_S(ctx.rs, ctx.gmap)
     shifted = ga * ga - ga.scaled(ctx.n - 2)
     for w, c in shifted.terms.items():
@@ -582,7 +519,7 @@ def rho_subelement(alg: SubAlgebra) -> SubElement:
     ctx = alg.ctx
     terms: dict[SubWord, CoeffPoly] = {}
     for i in range(ctx.n):
-        add_term(terms, SubWord(((i, i, 1),), ctx.e), ctx.one)
+        add_term(terms, SubWord(((i, i),), ctx.e), ctx.one)
     ga = invariant_sum_S(ctx.rs, ctx.gmap)
     for w, c in ga.terms.items():
         add_term(terms, SubWord((), w), -c)
@@ -609,7 +546,7 @@ def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
         tail = grp[rng.randrange(len(grp))]
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if c:
-            add_term(terms, word_from_pairs(tuple(pairs), tail), ctx.one * c)
+            add_term(terms, SubWord(tuple(pairs), tail), ctx.one * c)
     return SubElement(alg, terms)
 
 
@@ -731,7 +668,7 @@ def symbol_certificate(alg: SubAlgebra, d: int) -> None:
         rows = []
         for word in words:
             prod = XPoly.one(2 * n, 0)
-            for pair in word.pairs():
+            for pair in word.pairs:
                 prod = prod * symbol[pair]
             rows.append({col.setdefault(e, len(col)): c for e, c in prod.terms.items()})
         rank = sparse_rank_symbolic(rows)
@@ -755,9 +692,9 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
     for deg in range(d + 1):
         for word in enum(ctx.n, deg, ctx.e):
             for tail in grp:
-                unknowns.append(SubWord(word.factors, tail))
+                unknowns.append(SubWord(word.pairs, tail))
     kept = constraint_pairs(alg)
-    constraints = [SubElement.of(alg, SubWord(((i, j, 1),), ctx.e)) for (i, j) in kept]
+    constraints = [SubElement.of(alg, SubWord((pair,), ctx.e)) for pair in kept]
     constraints += [SubElement.of(alg, SubWord((), s)) for s in ctx.rs.reflections()]
     rows_by_key: dict = {}
     for u_idx, word in enumerate(unknowns):

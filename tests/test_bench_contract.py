@@ -47,7 +47,7 @@ def test_traced_run_has_no_absent_metric():
         ctx = CherednikContext(build_root_system("A", 2))
         alg = SubAlgebra(ctx, "so")
         product = d_gen(ctx, 0) * x_gen(ctx, 1)
-        nf = alg.normal_form_word(SubWord(((0, 1, 2),), ctx.e))
+        nf = alg.normal_form_word(SubWord(((0, 1), (0, 1)), ctx.e))
     finally:
         tracer.remove()
     counts, times = tracer.layers()

@@ -122,7 +122,7 @@ def test_coupling_times_algebra_element_scales_from_either_side():
     for m in (angular_momentum_ij(ctx, 0, 1),
               XPoly.monomial((1, 2), 2, ctx.nsym) + XPoly.monomial((0, 1), 2, ctx.nsym),
               GroupAlgebraElement.of(ctx.rs, ctx.rs.reflection(0), ctx.one),
-              SubElement.of(get_subalgebra(ctx, "so"), SubWord(((0, 1, 1),), ctx.rs.reflection(0)))):
+              SubElement.of(get_subalgebra(ctx, "so"), SubWord(((0, 1),), ctx.rs.reflection(0)))):
         left = g * m
         assert left == m * g and type(left) is type(m)
         assert not left.scaled(2) == m * g
@@ -144,9 +144,9 @@ def _combination_case(kind):
         return x, y, one(ctx), other, SubElement.of(get_subalgebra(ctx, "so"), SubWord((), s0))
     if kind == "SubElement":
         alg = get_subalgebra(ctx, "so")
-        x = SubElement.of(alg, SubWord(((0, 1, 1),), s0), g) + SubElement.of(alg, SubWord((), s1))
-        y = SubElement.of(alg, SubWord(((0, 1, 2),), ctx.e), 3) - SubElement.of(alg, SubWord((), s1))
-        other = SubElement.of(get_subalgebra(ctx, "gl"), SubWord(((0, 1, 1),), ctx.e))
+        x = SubElement.of(alg, SubWord(((0, 1),), s0), g) + SubElement.of(alg, SubWord((), s1))
+        y = SubElement.of(alg, SubWord(((0, 1), (0, 1)), ctx.e), 3) - SubElement.of(alg, SubWord((), s1))
+        other = SubElement.of(get_subalgebra(ctx, "gl"), SubWord(((0, 1),), ctx.e))
         return x, y, SubElement.of(alg, SubWord((), ctx.e)), other, x_gen(ctx, 0)
     if kind == "GroupAlgebraElement":
         x = GroupAlgebraElement.of(rs, s0, g) + GroupAlgebraElement.of(rs, s1, ctx.one)
@@ -936,6 +936,20 @@ def test_int_and_fraction_values_are_interchangeable():
     # a float given as a number converts exactly and is never stored
     assert exact_terms(CoeffPoly.const(0.5, 1)) == {(0,): Fraction(1, 2)}
     assert exact_terms(g * 0.25) == {(1,): Fraction(1, 4)}
+
+
+def test_a_string_is_not_a_scalar():
+    # strings are not parsed as numbers: like any other non-scalar they raise
+    x = XPoly.variable(0, 2, 1)
+    for text in ("1/2", "abc"):
+        with pytest.raises(TypeError):
+            x * text
+        with pytest.raises(TypeError):
+            text * x
+        with pytest.raises(TypeError):
+            CoeffPoly.symbol(0, 1) * text
+        with pytest.raises(TypeError):
+            CoeffPoly.const(text, 1)
 
 
 def test_unit_products_share_the_other_operand():

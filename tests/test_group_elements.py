@@ -19,9 +19,9 @@ from functools import partial
 import pytest
 
 from dunklalg.cherednik import CherednikContext, group
-from dunklalg.coxeter import build_root_system, load_root_system
+from dunklalg.coxeter import GroupElement, MultiplicityMap, build_root_system, load_root_system, s_pair
 from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term
-from dunklalg.subalgebra import SubElement, SubWord, embed, get_subalgebra
+from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
 
 ROT = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))  # columns
 
@@ -150,6 +150,23 @@ def test_racing_threads_get_the_same_elements():
         assert all(seen[w.cols] is w for w in grp)
 
 
+def test_group_algebra_render_orders_mixed_elements():
+    # the identity of rotated B2 is a signed permutation and its reflections
+    # are not: they print after it, ordered by their columns
+    rs = rotated_b(2)
+    e = s_pair([1, 0], [1, 0], rs, MultiplicityMap.symbolic(rs))
+    assert e.render() == ("1 + 49/25*g1*w{-24/25,-7/25;-7/25,24/25}"
+                          " + 32/25*g2*w{-7/25,24/25;24/25,7/25}"
+                          " + 18/25*g2*w{7/25,-24/25;-24/25,-7/25}"
+                          " + 1/25*g1*w{24/25,7/25;7/25,-24/25}")
+    # sets that are all signed permutations, or all not, keep their order
+    for rs in (build_root_system("B", 3), rs):
+        for same in ([w for w in rs.group() if w.perm is not None],
+                     [w for w in rs.group() if w.perm is None]):
+            assert (sorted(same, key=GroupElement.sort_key)
+                    == sorted(same, key=lambda w: w.image_key()))
+
+
 # -- the monomial action against a Fraction-matrix substitution oracle ---------
 
 def substitute_linear(p, images):
@@ -245,6 +262,6 @@ def test_conj_one_embeds_to_the_conjugate_in_h_c(name, family):
         for pair in pairs:
             expansion = SubElement(alg)
             for p2, c in alg._conj_one(w, pair):
-                add_term(expansion.terms, SubWord((p2 + (1,),), ctx.e), ctx.one * c)
+                add_term(expansion.terms, SubWord((p2,), ctx.e), ctx.one * c)
             expected = group(ctx, w) * alg.generator(*pair) * group(ctx, w.inverse())
-            assert embed(expansion) == expected
+            assert expansion.embed() == expected

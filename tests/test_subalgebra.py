@@ -1,6 +1,8 @@
 """Basis enumeration, straightening soundness, flatness, and the centre."""
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -17,7 +19,6 @@ from dunklalg.coxeter import build_root_system, load_root_system
 from dunklalg.exactmath import CoeffPoly, sparse_nullspace
 from dunklalg.polyrep import DunklContext, apply_element
 from dunklalg.subalgebra import (
-    ArcDiagram,
     CertificateFailure,
     DegreeBound,
     SubAlgebra,
@@ -33,13 +34,10 @@ from dunklalg.subalgebra import (
     get_subalgebra,
     h_omega_subelement,
     in_span,
-    normal_form_gl,
-    normal_form_so,
     pbw_rank_check,
     random_subelement,
     rho_subelement,
     symbol_certificate,
-    word_from_pairs,
 )
 from test_general_group import ROT
 
@@ -72,24 +70,61 @@ def test_enumerate_gl_counts():
 
 
 def test_arc_diagram_crossings():
-    assert ArcDiagram(((0, 2), (1, 3))).crossing_count() == 1
-    assert ArcDiagram(((0, 3), (1, 2))).crossing_count() == 0
-    assert ArcDiagram(((0, 1), (2, 3))).is_noncrossing()
+    assert not subalgebra._noncrossing(((0, 2), (1, 3)))
+    assert subalgebra._noncrossing(((0, 3), (1, 2)))
+    assert subalgebra._noncrossing(((0, 1), (2, 3)))
+
+
+def test_basis_words_sort_by_runs_not_pairs():
+    # as runs M[1,2]^2 = ((0, 1, 2),) follows M[1,2]*M[1,3] = ((0, 1, 1), (0, 2, 1));
+    # as pairs ((0, 1), (0, 1)) would come first
+    ctx = actx(3)
+    so = get_subalgebra(ctx, "so")
+    square = SubWord(((0, 1), (0, 1)), ctx.e)
+    mixed = SubWord(((0, 1), (0, 2)), ctx.e)
+    assert sorted([square, mixed], key=SubWord.sort_key) == [mixed, square]
+    both = SubElement.of(so, square) + SubElement.of(so, mixed)
+    assert both.render() == "M[1,2]*M[1,3] + M[1,2]^2"
+
+
+def test_racing_threads_share_one_subalgebra(monkeypatch):
+    # both threads build while the other is still building; the memo must
+    # hand both the algebra that was stored first
+    ctx = actx(2)
+    real = SubAlgebra.__init__
+
+    def slow(self, *args, **kwargs):
+        time.sleep(0.05)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubAlgebra, "__init__", slow)
+    found = []
+    threads = [threading.Thread(target=lambda: found.append(get_subalgebra(ctx, "so")))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(found) == 2
+    a, b = found
+    assert a is b is get_subalgebra(ctx, "so")
+    unit = SubElement.of(a, SubWord((), ctx.e)) + SubElement.of(b, SubWord((), ctx.e))
+    assert unit == SubElement.of(a, SubWord((), ctx.e), 2)
 
 
 def test_embed_single_factor():
     ctx = actx(3)
     alg = get_subalgebra(ctx, "so")
     sigma = ctx.rs.reflection(0)
-    word = SubWord(((0, 1, 1),), sigma)
+    word = SubWord(((0, 1),), sigma)
     assert alg.embed_word(word) == angular_momentum_ij(ctx, 0, 1) * group(ctx, sigma)
 
 
 def test_embed_son_relation_is_zero():
     ctx = actx(4)
     alg = get_subalgebra(ctx, "so")
-    m12 = SubElement.of(alg, word_from_pairs(((0, 1),), ctx.e))
-    m34 = SubElement.of(alg, word_from_pairs(((2, 3),), ctx.e))
+    m12 = SubElement.of(alg, SubWord(((0, 1),), ctx.e))
+    m34 = SubElement.of(alg, SubWord(((2, 3),), ctx.e))
     lhs = m12 * m34 - m34 * m12          # straightened commutator
     rhs_pbw = (angular_momentum_ij(ctx, 0, 1) * angular_momentum_ij(ctx, 2, 3)
                - angular_momentum_ij(ctx, 2, 3) * angular_momentum_ij(ctx, 0, 1))
@@ -99,12 +134,12 @@ def test_embed_son_relation_is_zero():
 def test_normal_form_swap_example():
     ctx = actx(3)
     alg = get_subalgebra(ctx, "so")
-    e = SubElement.of(alg, word_from_pairs(((1, 2), (0, 1)), ctx.e))
-    nf = normal_form_so(e)
+    e = SubElement.of(alg, SubWord(((1, 2), (0, 1)), ctx.e))
+    nf = e.normal_form()
     assert nf.is_supported_on_basis()
     assert nf.embed() == e.embed()
     tops = [w for w in nf.terms if w.degree() == 2]
-    assert tops == [word_from_pairs(((0, 1), (1, 2)), ctx.e)]
+    assert tops == [SubWord(((0, 1), (1, 2)), ctx.e)]
     firsts = [w for w in nf.terms if w.degree() == 1]
     assert firsts and any(not w.tail.is_identity() for w in firsts)
 
@@ -112,11 +147,11 @@ def test_normal_form_swap_example():
 def test_normal_form_untangles_crossing():
     ctx = actx(4)
     alg = get_subalgebra(ctx, "so")
-    e = SubElement.of(alg, word_from_pairs(((0, 2), (1, 3)), ctx.e))
-    nf = normal_form_so(e)
+    e = SubElement.of(alg, SubWord(((0, 2), (1, 3)), ctx.e))
+    nf = e.normal_form()
     assert nf.is_supported_on_basis()
     assert nf.embed() == e.embed()
-    tops = {w.pairs(): c for w, c in nf.terms.items() if w.degree() == 2}
+    tops = {w.pairs: c for w, c in nf.terms.items() if w.degree() == 2}
     assert set(tops) == {((0, 3), (1, 2)), ((0, 1), (2, 3))}
     for c in tops.values():
         assert c == CoeffPoly.one(1)
@@ -128,8 +163,8 @@ def test_normal_form_idempotent():
     rng = random.Random(97)
     for _ in range(5):
         e = random_subelement(alg, rng, max_degree=3)
-        nf = normal_form_so(e)
-        assert normal_form_so(nf) == nf
+        nf = e.normal_form()
+        assert nf.normal_form() == nf
 
 
 def test_straightening_soundness_random():
@@ -161,8 +196,8 @@ def test_normal_form_equivariance():
 def test_gl_normal_form_example():
     ctx = actx(2)
     alg = get_subalgebra(ctx, "gl")
-    e = SubElement.of(alg, word_from_pairs(((0, 1), (1, 0)), ctx.e))
-    nf = normal_form_gl(e)
+    e = SubElement.of(alg, SubWord(((0, 1), (1, 0)), ctx.e))
+    nf = e.normal_form()
     assert nf.is_supported_on_basis()
     assert nf.embed() == e.embed()
 
@@ -172,7 +207,7 @@ def test_gl_dual_path_oracle():
     alg = get_subalgebra(ctx, "gl")
     dctx = DunklContext.of(ctx)
     rng = random.Random(107)
-    word = SubElement.of(alg, word_from_pairs(((0, 1), (1, 0)), ctx.e))
+    word = SubElement.of(alg, SubWord(((0, 1), (1, 0)), ctx.e))
     pbw = word.embed()
     e12 = e_generator(ctx, 0, 1)
     e21 = e_generator(ctx, 1, 0)
@@ -186,7 +221,7 @@ def test_degree_bound_raised():
     ctx = actx(2)
     alg = SubAlgebra(ctx, "so", max_degree=3)
     with pytest.raises(DegreeBound):
-        alg.normal_form_word(word_from_pairs(((0, 1),) * 4, ctx.e))
+        alg.normal_form_word(SubWord(((0, 1),) * 4, ctx.e))
 
 
 def test_h_omega_and_rho_subelements_match_engine():
@@ -264,7 +299,7 @@ def embedded_centralizer(family, ctx, d):
     for deg in range(d + 1):
         for word in enum(ctx.n, deg, ctx.e):
             for tail in grp:
-                unknowns.append(SubWord(word.factors, tail))
+                unknowns.append(SubWord(word.pairs, tail))
     if family == "so":
         constraints = [angular_momentum_ij(ctx, i, j)
                        for i in range(ctx.n) for j in range(i + 1, ctx.n)]
@@ -328,7 +363,7 @@ def test_symbol_certificate_rejects_a_dependent_word(monkeypatch):
         # M_13 M_24 has the symbol p13 p24 = p12 p34 + p14 p23 (Pluecker)
         words = real(n, d, tail)
         if d == 2:
-            words.append(word_from_pairs(((0, 2), (1, 3)), words[0].tail))
+            words.append(SubWord(((0, 2), (1, 3)), words[0].tail))
         return words
 
     monkeypatch.setattr(subalgebra, "enumerate_basis_so", with_crossing)
