@@ -43,7 +43,6 @@ from .exactmath import (
     CoeffPoly,
     LocPoly,
     NotDivisible,
-    Rat,
     XPoly,
     poly_divide_exact,
 )
@@ -53,8 +52,6 @@ from .subalgebra import (
     SubElement,
     SubWord,
     centralizer,
-    enumerate_basis_gl,
-    enumerate_basis_so,
     pbw_rank_check,
 )
 

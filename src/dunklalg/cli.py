@@ -13,6 +13,7 @@ Reports are byte-deterministic unless --timing is passed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -27,12 +28,7 @@ from .coxeter import (
 from .exactmath import parse_rational
 from .expr import EvalError, ExprSyntaxError, evaluate, parse_expression, print_expression
 from .reporting import CheckResult, Report, emit_report
-from .subalgebra import (
-    DegreeBound,
-    centralizer,
-    enumerate_basis_gl,
-    enumerate_basis_so,
-)
+from .subalgebra import DegreeBound, centralizer, get_subalgebra
 from .suites import SUITES, centre_suite, default_degree, run_suite
 
 
@@ -75,6 +71,14 @@ def build_context(args) -> tuple[CherednikContext, str, int]:
     return CherednikContext(rs, gmap), family, rs.rank
 
 
+def _emit(args, payload: str) -> None:
+    """Write the payload to the --out file, if any, and then to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    sys.stdout.write(payload)
+
+
 def cmd_normal_form(args) -> int:
     ctx, family, rank = build_context(args)
     start = time.monotonic()
@@ -91,14 +95,10 @@ def cmd_normal_form(args) -> int:
     if args.format == "json":
         data = report.to_dict(args.timing)
         data["normal_form"] = rendered
-        import json as _json
-        payload = _json.dumps(data, indent=2) + "\n"
+        payload = json.dumps(data, indent=2) + "\n"
     else:
         payload = rendered + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload)
+    _emit(args, payload)
     return 0
 
 
@@ -106,19 +106,18 @@ def cmd_verify(args) -> int:
     ctx, family, rank = build_context(args)
     report = run_suite(args.suite, ctx, family, rank,
                        degree=args.degree, mode=args.mode, timing=args.timing)
-    payload = emit_report(report, args.out, args.format, include_timing=args.timing)
-    sys.stdout.write(payload)
+    _emit(args, emit_report(report, args.format, include_timing=args.timing))
     return 0 if report.status == "pass" else 1
 
 
 def cmd_basis(args) -> int:
     ctx, family, rank = build_context(args)
-    enum = enumerate_basis_so if args.mode == "so" else enumerate_basis_gl
+    alg = get_subalgebra(ctx, args.mode)
     result = CheckResult("basis-%s" % args.mode)
     lines = []
     counts = {}
     for deg in range(args.degree + 1):
-        words = enum(ctx.n, deg, ctx.e)
+        words = alg.basis(deg)
         counts[deg] = len(words)
         result.instances += len(words)
         for word in words:
@@ -129,18 +128,14 @@ def cmd_basis(args) -> int:
         data = report.to_dict(args.timing)
         data["counts"] = {"degree %d" % d: c for d, c in counts.items()}
         data["words"] = lines
-        import json as _json
-        payload = _json.dumps(data, indent=2) + "\n"
+        payload = json.dumps(data, indent=2) + "\n"
     else:
         out = []
         for deg in range(args.degree + 1):
             out.append("degree %d: %d words" % (deg, counts[deg]))
         out.extend(lines)
         payload = "\n".join(out) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload)
+    _emit(args, payload)
     return 0
 
 
@@ -153,11 +148,10 @@ def cmd_centre(args) -> int:
                     params={"mode": args.mode, "degree": degree,
                             "dimension": len(solutions)},
                     results=results)
-    payload = emit_report(report, args.out, args.format, include_timing=args.timing)
-    sys.stdout.write(payload)
+    payload = emit_report(report, args.format, include_timing=args.timing)
     if args.format == "text":
-        for sol in solutions:
-            sys.stdout.write("basis element: %s\n" % sol.render())
+        payload += "".join("basis element: %s\n" % sol.render() for sol in solutions)
+    _emit(args, payload)
     return 0 if report.status == "pass" else 1
 
 

@@ -23,8 +23,6 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 _F0 = Fraction(0)
 
 

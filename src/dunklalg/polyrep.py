@@ -178,12 +178,17 @@ def _hamiltonian_lhs(ctx: DunklContext, f: LocPoly) -> LocPoly:
     return acc.scaled(Fraction(-1, 2))
 
 
-def _hamiltonian_rhs(ctx: DunklContext, f: LocPoly, potential_sign: int = 1) -> LocPoly:
+def _kinetic(ctx: DunklContext, f: LocPoly) -> LocPoly:
+    """-1/2 Lap f."""
     lap = None
     for i in range(ctx.n):
         t = f.derivative(i).derivative(i)
         lap = t if lap is None else lap + t
-    acc = lap.scaled(Fraction(-1, 2))
+    return lap.scaled(Fraction(-1, 2))
+
+
+def _hamiltonian_rhs(ctx: DunklContext, f: LocPoly, potential_sign: int = 1) -> LocPoly:
+    acc = _kinetic(ctx, f)
     for i, alpha in enumerate(ctx.roots):
         g = ctx.gmap.of_root(ctx.rs, i)
         aa = _dot(alpha, alpha)
@@ -262,11 +267,7 @@ def vandermonde(ctx: DunklContext) -> XPoly:
 
 def _restricted_potential(ctx: DunklContext, f: LocPoly, shift: int) -> LocPoly:
     """-1/2 Lap f + sum_a g_a (g_a - shift)(a,a)/(2(a,x)^2) f."""
-    lap = None
-    for i in range(ctx.n):
-        t = f.derivative(i).derivative(i)
-        lap = t if lap is None else lap + t
-    acc = lap.scaled(Fraction(-1, 2))
+    acc = _kinetic(ctx, f)
     for i, alpha in enumerate(ctx.roots):
         g = ctx.gmap.of_root(ctx.rs, i)
         aa = _dot(alpha, alpha)

@@ -83,16 +83,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, path: str | None, fmt: str = "text",
-                include_timing: bool = False) -> str:
+def emit_report(report: Report, fmt: str = "text", include_timing: bool = False) -> str:
     """Serialize a report; byte-deterministic unless timing is included."""
     if fmt == "json":
-        payload = report.to_json(include_timing)
-    elif fmt == "text":
-        payload = report.to_text(include_timing)
-    else:
-        raise ValueError("unknown format %r" % fmt)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    return payload
+        return report.to_json(include_timing)
+    if fmt == "text":
+        return report.to_text(include_timing)
+    raise ValueError("unknown format %r" % fmt)

@@ -4,7 +4,8 @@ A word (SubWord) is a sequence of generator pairs (i, j), one per factor
 of the quadratic generators (antisymmetric M_ij for the so family, E_ij for
 the gl family), times a group tail. Products, normal forms and centralizer
 rows all work on that pair sequence, and words are reduced to the canonical
-basis:
+basis. SubAlgebra.pairs holds the family's generator pairs and
+SubAlgebra.basis(d) its basis words of degree d:
 
   so basis words: factor list sorted by (i, then j), arc diagram without
   crossing semicircles (i_s < i_s' < j_s implies j_s' <= j_s);
@@ -37,12 +38,6 @@ d + 1, and nothing is embedded into H_c to build the rows.
   An element that commutes with the reflections is W-invariant, so it
   commutes with every W-conjugate of a kept generator; for a custom root
   system constraint_pairs keeps each generator those conjugates miss.
-
-Measured on a 2-CPU VM with Python 3.11 (process time, single runs), rows
-from H_c embeddings against these: so B2 d4 1.25 s -> 0.42 s, gl A2 d2
-0.62 s -> 0.06 s, so A3 d3 3.7 s -> 0.15 s, so A3 d4 21.5 s -> 0.81 s,
-gl A3 d2 34 s -> 0.47 s, so A4 d3 about 250 s -> 6.6 s, with the same
-bases. At B2 d4, 0.3 s of what is left is the H_c check.
 """
 
 from __future__ import annotations
@@ -118,38 +113,9 @@ class SubWord(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-def _noncrossing(pairs: Sequence[Pair]) -> bool:
-    """No two arcs (i, j), i < j, drawn as semicircles over 1..N, cross."""
-    return not any(_arcs_cross(u, v) for u, v in combinations(pairs, 2))
-
-
-def _arcs_cross(u: Pair, v: Pair) -> bool:
-    (a, b), (c, d) = u, v
-    return (a < c < b < d) or (c < a < d < b)
-
-
-def _chain_sorted(pairs: Sequence[Pair]) -> bool:
-    js = [j for (_, j) in sorted(pairs)]
-    return all(js[k] <= js[k + 1] for k in range(len(js) - 1))
-
-
 # ---------------------------------------------------------------------------
-# Basis enumeration (plus the deliberately separate combinatorial counters)
+# The combinatorial counters (independent oracles for SubAlgebra.basis)
 # ---------------------------------------------------------------------------
-
-def enumerate_basis_so(n: int, d: int, tail: GroupElement) -> list[SubWord]:
-    """Ordered non-crossing monomials of total degree exactly d."""
-    gens = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [SubWord(combo, tail) for combo in combinations_with_replacement(gens, d)
-            if _noncrossing(combo)]
-
-
-def enumerate_basis_gl(n: int, d: int, tail: GroupElement) -> list[SubWord]:
-    """Words with both index sequences weakly increasing, total degree d."""
-    gens = [(i, j) for i in range(n) for j in range(n)]
-    return [SubWord(combo, tail) for combo in combinations_with_replacement(gens, d)
-            if _chain_sorted(combo)]
-
 
 def count_noncrossing_multisets(n: int, d: int) -> int:
     """Independent brute-force counter for the so basis (kept separate)."""
@@ -198,6 +164,9 @@ class SubAlgebra:
         self.ctx = ctx
         self.family = family
         self.max_degree = max_degree
+        n = ctx.n
+        self.pairs: tuple[Pair, ...] = tuple(
+            (i, j) for i in range(n) for j in range(i + 1 if family == "so" else 0, n))
         self._memo: dict[tuple[Pair, ...], dict[SubWord, CoeffPoly]] = {}
         self._embed_cache: dict[SubWord, PBWElement] = {}
         self._conj: dict[tuple[GroupElement, Pair], tuple[tuple[Pair, Fraction], ...]] = {}
@@ -256,38 +225,47 @@ class SubAlgebra:
         return [(1, None, (i, l), (j, k)), (-1, (i, l), (k, j), None),
                 (1, (k, l), (i, j), None), (-1, None, (i, j), (k, l))]
 
-    def _uncross_so(self, u: Pair, v: Pair):
-        """Resolve an adjacent crossing product via the cyclic relation:
-        M_ij M_kl = -M_jk M_il - M_ki M_jl + M_ij S_kl + M_jk S_il + M_ki S_jl."""
+    def _uncross(self, u: Pair, v: Pair):
+        """The move on an adjacent bad pair: ([(coefficient, pair, pair)],
+        corrections). so, by the cyclic relation,
+        M_ij M_kl = -M_jk M_il - M_ki M_jl + M_ij S_kl + M_jk S_il + M_ki S_jl;
+        gl: E_ij E_kl = E_il E_kj + E_il S_kj - E_ij S_kl (i < k, j > l)."""
         (i, j), (k, l) = u, v
+        if self.family == "gl":
+            return ([(self.ctx.one, (i, l), (k, j))],
+                    [(1, None, (i, l), (k, j)), (-1, None, (i, j), (k, l))])
         tops = []
-        for sgn, p1, p2 in ((-1, (j, k), (i, l)), (-1, (k, i), (j, l))):
-            n1 = self.norm_pair(*p1)
-            n2 = self.norm_pair(*p2)
-            if n1 is None or n2 is None:
-                continue
-            s1, a = n1
-            s2, b = n2
-            tops.append((sgn * s1 * s2, a, b))
-        corr = [(1, None, (i, j), (k, l)), (1, None, (j, k), (i, l)),
-                (1, None, (k, i), (j, l))]
-        return tops, corr
-
-    def _uncross_gl(self, u: Pair, v: Pair):
-        """E_ij E_kl -> E_il E_kj + E_il S_kj - E_ij S_kl (i < k, j > l)."""
-        (i, j), (k, l) = u, v
-        tops = [((i, l), (k, j))]
-        corr = [(1, None, (i, l), (k, j)), (-1, None, (i, j), (k, l))]
-        return tops, corr
+        for p1, p2 in (((j, k), (i, l)), ((k, i), (j, l))):
+            # crossing arcs have four distinct ends, so both pairs are proper
+            (s1, a), (s2, b) = self.norm_pair(*p1), self.norm_pair(*p2)
+            tops.append((self.ctx.one * (-s1 * s2), a, b))
+        return tops, [(1, None, (i, j), (k, l)), (1, None, (j, k), (i, l)),
+                      (1, None, (k, i), (j, l))]
 
     # -- the rewriting loop ------------------------------------------------------
 
     def _is_basis(self, pairs: tuple[Pair, ...]) -> bool:
-        if any(pairs[r] > pairs[r + 1] for r in range(len(pairs) - 1)):
-            return False
+        return (all(pairs[r] <= pairs[r + 1] for r in range(len(pairs) - 1))
+                and self._first_bad(pairs) is None)
+
+    def _first_bad(self, word: Sequence[Pair]) -> tuple[int, int] | None:
+        """In a sorted word, the first positions (p, q) the basis rule
+        rejects: crossing arcs (so), or an adjacent descent in j (gl)."""
         if self.family == "so":
-            return _noncrossing(pairs)
-        return _chain_sorted(pairs)
+            for p, q in combinations(range(len(word)), 2):
+                (a, b), (c, d) = word[p], word[q]
+                if a < c < b < d:
+                    return p, q
+            return None
+        for r in range(len(word) - 1):
+            if word[r][1] > word[r + 1][1]:
+                return r, r + 1
+        return None
+
+    def basis(self, d: int) -> list[SubWord]:
+        """The basis words of degree exactly d, with the identity tail."""
+        return [SubWord(combo, self.ctx.e) for combo in combinations_with_replacement(self.pairs, d)
+                if self._is_basis(combo)]
 
     def _emit_corrections(self, acc, prefix, corrections, suffix, coeff):
         """Insert first-order relation terms, pushing group factors right.
@@ -331,55 +309,26 @@ class SubAlgebra:
 
         word = list(pairs)
         pending: list[tuple[tuple[Pair, ...], GroupElement, CoeffPoly]] = []
-
         # phase 1: bubble sort by commutation, collecting lower-degree terms
-        changed = True
-        while changed:
-            changed = False
-            for r in range(len(word) - 1):
-                if word[r] > word[r + 1]:
-                    u, v = word[r], word[r + 1]
-                    word[r], word[r + 1] = v, u
-                    self._emit_corrections(pending, tuple(word[:r]),
-                                           self._swap_corrections(u, v),
-                                           tuple(word[r + 2:]), self.ctx.one)
-                    changed = True
-                    break
-
-        tops: list[tuple[tuple[Pair, ...], CoeffPoly]] = []
-        if self.family == "so":
-            cross = self._first_crossing(word)
-            if cross is None:
-                tops.append((tuple(word), self.ctx.one))
-            else:
-                p, q = cross
-                # bring the partners adjacent, then apply the uncross move
-                for t in range(q - 1, p, -1):
-                    u, v = word[t], word[t + 1]
-                    word[t], word[t + 1] = v, u
-                    self._emit_corrections(pending, tuple(word[:t]),
-                                           self._swap_corrections(u, v),
-                                           tuple(word[t + 2:]), self.ctx.one)
-                u, v = word[p], word[p + 1]
-                top_pairs, corr = self._uncross_so(u, v)
-                for (sgn, a, b) in top_pairs:
-                    tops.append((tuple(word[:p]) + (a, b) + tuple(word[p + 2:]),
-                                 self.ctx.one * sgn))
-                self._emit_corrections(pending, tuple(word[:p]), corr,
-                                       tuple(word[p + 2:]), self.ctx.one)
-        else:
-            r = self._first_descend(word)
+        while True:
+            r = next((r for r in range(len(word) - 1) if word[r] > word[r + 1]), None)
             if r is None:
-                tops.append((tuple(word), self.ctx.one))
-            else:
-                u, v = word[r], word[r + 1]
-                top_pairs, corr = self._uncross_gl(u, v)
-                for (a, b) in top_pairs:
-                    tops.append((tuple(word[:r]) + (a, b) + tuple(word[r + 2:]), self.ctx.one))
-                self._emit_corrections(pending, tuple(word[:r]), corr,
-                                       tuple(word[r + 2:]), self.ctx.one)
+                break
+            self._swap(word, r, pending)
+        # phase 2: bring the first bad partners adjacent, then apply the move
+        bad = self._first_bad(word)
+        if bad is None:
+            tops = [(self.ctx.one, tuple(word))]
+        else:
+            p, q = bad
+            for t in range(q - 1, p, -1):
+                self._swap(word, t, pending)
+            moves, corr = self._uncross(word[p], word[p + 1])
+            prefix, suffix = tuple(word[:p]), tuple(word[p + 2:])
+            tops = [(c, prefix + (a, b) + suffix) for (c, a, b) in moves]
+            self._emit_corrections(pending, prefix, corr, suffix, self.ctx.one)
 
-        for (top, c) in tops:
+        for (c, top) in tops:
             if self._is_basis(top):
                 add_term(out, SubWord(top, self.ctx.e), c)
             else:
@@ -391,21 +340,13 @@ class SubAlgebra:
         self._memo[pairs] = out
         return out
 
-    @staticmethod
-    def _first_crossing(word: Sequence[Pair]) -> tuple[int, int] | None:
-        for p in range(len(word)):
-            for q in range(p + 1, len(word)):
-                if _arcs_cross(word[p], word[q]):
-                    return (p, q)
-        return None
-
-    @staticmethod
-    def _first_descend(word: Sequence[Pair]) -> int | None:
-        for r in range(len(word) - 1):
-            (i, j), (k, l) = word[r], word[r + 1]
-            if i < k and j > l:
-                return r
-        return None
+    def _swap(self, word: list[Pair], t: int, pending) -> None:
+        """Commute the factors at t and t + 1 in place; the commutator's
+        lower-degree terms go to pending."""
+        u, v = word[t], word[t + 1]
+        word[t], word[t + 1] = v, u
+        self._emit_corrections(pending, tuple(word[:t]), self._swap_corrections(u, v),
+                               tuple(word[t + 2:]), self.ctx.one)
 
     # -- public word/element operations -----------------------------------------
 
@@ -578,14 +519,13 @@ def pbw_rank_check(family: str, ctx: CherednikContext, d: int) -> tuple[CheckRes
     independent over Q(g); counts are cross-checked combinatorially, and the
     rank is cross-checked mod 2^61 - 1 at seeded rational points."""
     alg = get_subalgebra(ctx, family)
-    enum = enumerate_basis_so if family == "so" else enumerate_basis_gl
     counter = count_noncrossing_multisets if family == "so" else count_chain_multisets
     result = CheckResult("pbw-flatness-%s" % family)
     details = {"per_degree": []}
     rng = random.Random(_SPECIALIZATION_SEED)
     words: list[SubWord] = []
     for deg in range(d + 1):
-        batch = enum(ctx.n, deg, ctx.e)
+        batch = alg.basis(deg)
         expected = counter(ctx.n, deg)
         words.extend(batch)
         rows, _ = _coefficient_rows(alg, words)
@@ -608,13 +548,6 @@ def pbw_rank_check(family: str, ctx: CherednikContext, d: int) -> tuple[CheckRes
     return result, details
 
 
-def _generator_pairs(alg: SubAlgebra) -> list[Pair]:
-    n = alg.ctx.n
-    if alg.family == "so":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(k, l) for k in range(n) for l in range(n)]
-
-
 def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
     """Generators kept as centralizer constraints beside the reflections.
 
@@ -624,11 +557,10 @@ def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
     of the W-conjugates of those kept; for the A, B and D families that
     span is everything already.
     """
-    pairs = _generator_pairs(alg)
-    col = {p: k for k, p in enumerate(pairs)}
+    col = {p: k for k, p in enumerate(alg.pairs)}
     one = alg.ctx.one
     seeds = [(0, 1)] if alg.family == "so" else [(0, 0), (0, 1)]
-    order = [p for p in seeds if p in col] + [p for p in pairs if p not in seeds]
+    order = [p for p in seeds if p in col] + [p for p in alg.pairs if p not in seeds]
     kept: list[Pair] = []
     rows: dict[tuple, dict[int, CoeffPoly]] = {}
     rank = 0
@@ -658,12 +590,11 @@ def symbol_certificate(alg: SubAlgebra, d: int) -> None:
     independent in H_c.
     """
     n = alg.ctx.n
-    enum = enumerate_basis_so if alg.family == "so" else enumerate_basis_gl
     x = [XPoly.variable(k, 2 * n, 0) for k in range(2 * n)]
     symbol = {(i, j): x[i] * x[n + j] - x[j] * x[n + i] if alg.family == "so"
-              else x[i] * x[n + j] for (i, j) in _generator_pairs(alg)}
+              else x[i] * x[n + j] for (i, j) in alg.pairs}
     for k in range(d + 1):
-        words = enum(n, k, alg.ctx.e)
+        words = alg.basis(k)
         col: dict = {}
         rows = []
         for word in words:
@@ -686,11 +617,10 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
         raise DegreeBound("centralizer degree %d: commutators reach degree %d, above bound %d"
                           % (d, d + 1, alg.max_degree))
     symbol_certificate(alg, d + 1)
-    enum = enumerate_basis_so if family == "so" else enumerate_basis_gl
     grp = ctx.rs.group()
     unknowns: list[SubWord] = []
     for deg in range(d + 1):
-        for word in enum(ctx.n, deg, ctx.e):
+        for word in alg.basis(deg):
             for tail in grp:
                 unknowns.append(SubWord(word.pairs, tail))
     kept = constraint_pairs(alg)

@@ -122,6 +122,19 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text() == out == golden("verify_pfaffian_a4.json")
 
 
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "M[1,3]*M[2,4]", "--rank", "4", "--mode", "so"],
+    ["basis", "--mode", "gl", "--rank", "2", "--format", "json"],
+    ["verify", "so3-example", "--rank", "3"],
+    ["centre", "--mode", "gl", "--rank", "2", "--degree", "1"],
+], ids=["normal-form", "basis", "verify", "centre"])
+def test_out_file_equals_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "out.txt"
+    code, out = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text() == out
+
+
 def test_timing_flag_adds_field(capsys):
     code, out = run(capsys, "verify", "pfaffian", "--group", "A", "--rank", "4",
                     "--format", "json", "--timing")

@@ -1,5 +1,6 @@
 """Basis enumeration, straightening soundness, flatness, and the centre."""
 
+import itertools
 import random
 import threading
 import time
@@ -29,8 +30,6 @@ from dunklalg.subalgebra import (
     count_chain_multisets,
     count_noncrossing_multisets,
     element_coordinates,
-    enumerate_basis_gl,
-    enumerate_basis_so,
     get_subalgebra,
     h_omega_subelement,
     in_span,
@@ -47,32 +46,30 @@ def actx(n, family="A"):
 
 
 def test_enumerate_so_counts():
-    ctx3 = actx(3)
-    assert len(enumerate_basis_so(3, 2, ctx3.e)) == 6
-    ctx4 = actx(4)
-    assert len(enumerate_basis_so(4, 2, ctx4.e)) == 20
-    ctx2 = actx(2)
-    assert len(enumerate_basis_so(2, 3, ctx2.e)) == 1
+    def so(n):
+        return get_subalgebra(actx(n), "so")
+    assert len(so(3).basis(2)) == 6
+    assert len(so(4).basis(2)) == 20
+    assert len(so(2).basis(3)) == 1
     for n, d in ((3, 2), (3, 3), (4, 2), (4, 3), (2, 5)):
-        ctx = actx(n)
-        assert len(enumerate_basis_so(n, d, ctx.e)) == count_noncrossing_multisets(n, d)
+        assert len(so(n).basis(d)) == count_noncrossing_multisets(n, d)
 
 
 def test_enumerate_gl_counts():
-    ctx1 = actx(1)
-    assert len(enumerate_basis_gl(1, 3, ctx1.e)) == 1
-    ctx2 = actx(2)
-    assert len(enumerate_basis_gl(2, 1, ctx2.e)) == 4
-    assert len(enumerate_basis_gl(2, 2, ctx2.e)) == 9
+    def gl(n):
+        return get_subalgebra(actx(n), "gl")
+    assert len(gl(1).basis(3)) == 1
+    assert len(gl(2).basis(1)) == 4
+    assert len(gl(2).basis(2)) == 9
     for n, d in ((2, 2), (2, 3), (3, 2)):
-        ctx = actx(n)
-        assert len(enumerate_basis_gl(n, d, ctx.e)) == count_chain_multisets(n, d)
+        assert len(gl(n).basis(d)) == count_chain_multisets(n, d)
 
 
 def test_arc_diagram_crossings():
-    assert not subalgebra._noncrossing(((0, 2), (1, 3)))
-    assert subalgebra._noncrossing(((0, 3), (1, 2)))
-    assert subalgebra._noncrossing(((0, 1), (2, 3)))
+    alg = get_subalgebra(actx(4), "so")
+    assert alg._first_bad(((0, 2), (1, 3))) == (0, 1)
+    assert alg._first_bad(((0, 3), (1, 2))) is None
+    assert alg._first_bad(((0, 1), (2, 3))) is None
 
 
 def test_basis_words_sort_by_runs_not_pairs():
@@ -177,6 +174,21 @@ def test_straightening_soundness_random():
             nf = e.normal_form()
             assert nf.is_supported_on_basis()
             assert nf.embed() == e.embed()
+
+
+@pytest.mark.parametrize("family,n,d", [("so", 4, 3), ("gl", 3, 2)])
+def test_straightening_over_every_word(family, n, d):
+    # so A4 d3 is the smallest case where crossing partners start apart
+    ctx = actx(n)
+    alg = get_subalgebra(ctx, family)
+    basis = {w.pairs for k in range(d + 1) for w in alg.basis(k)}
+    for k in range(d + 1):
+        for pairs in itertools.product(alg.pairs, repeat=k):
+            word = SubWord(pairs, ctx.e)
+            nf = alg.normal_form_word(word)
+            assert (nf == {word: ctx.one}) == (pairs in basis)
+            assert all(w.pairs in basis for w in nf)
+            assert SubElement(alg, nf).embed() == alg.embed_word(word)
 
 
 def test_normal_form_equivariance():
@@ -293,11 +305,10 @@ def embedded_centralizer(family, ctx, d):
     embedded in PBW form and commuted there with every generator and every
     reflection, one row per (constraint, H_c monomial)."""
     alg = get_subalgebra(ctx, family)
-    enum = enumerate_basis_so if family == "so" else enumerate_basis_gl
     grp = ctx.rs.group()
     unknowns = []
     for deg in range(d + 1):
-        for word in enum(ctx.n, deg, ctx.e):
+        for word in alg.basis(deg):
             for tail in grp:
                 unknowns.append(SubWord(word.pairs, tail))
     if family == "so":
@@ -357,16 +368,16 @@ def test_symbol_certificate_rejects_a_dependent_word(monkeypatch):
     ctx = actx(4)
     alg = get_subalgebra(ctx, "so")
     symbol_certificate(alg, 4)
-    real = subalgebra.enumerate_basis_so
+    real = SubAlgebra.basis
 
-    def with_crossing(n, d, tail):
+    def with_crossing(self, d):
         # M_13 M_24 has the symbol p13 p24 = p12 p34 + p14 p23 (Pluecker)
-        words = real(n, d, tail)
+        words = real(self, d)
         if d == 2:
             words.append(SubWord(((0, 2), (1, 3)), words[0].tail))
         return words
 
-    monkeypatch.setattr(subalgebra, "enumerate_basis_so", with_crossing)
+    monkeypatch.setattr(SubAlgebra, "basis", with_crossing)
     with pytest.raises(CertificateFailure):
         symbol_certificate(alg, 2)
     # centralizer certifies before it solves
