@@ -174,9 +174,10 @@ class GroupElement:
 class RootSystem:
     """Positive roots with orbit labels and the generated reflection group."""
 
+    group_cap = 10000              # most elements W may have
+
     def __init__(self, rank: int, positive_roots: Sequence[Vector], orbit_of: Sequence[int],
-                 label: str = "custom", symbols: Sequence[str] | None = None,
-                 group_cap: int = 10000):
+                 label: str = "custom", symbols: Sequence[str] | None = None):
         self.rank = rank
         self.positive_roots = tuple(_as_vector(r) for r in positive_roots)
         self.orbit_of = tuple(orbit_of)
@@ -185,7 +186,6 @@ class RootSystem:
         if symbols is None:
             symbols = ("g",) if self.norbits == 1 else tuple("g%d" % (i + 1) for i in range(self.norbits))
         self.symbols = tuple(symbols)
-        self.group_cap = group_cap
         self._check_roots()
         # signed roots: k < m is positive root k, m + k is its negative
         signed = self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
@@ -362,7 +362,7 @@ class RootSystem:
         return "RootSystem(%s, rank=%d, %d positive roots)" % (self.label, self.rank, len(self.positive_roots))
 
 
-def build_root_system(family: str, n: int, group_cap: int = 10000) -> RootSystem:
+def build_root_system(family: str, n: int) -> RootSystem:
     """Standard rational realizations: A(n-1) in R^n, B(n), D(n)."""
     family = family.upper()
     e = lambda i: tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
@@ -378,7 +378,7 @@ def build_root_system(family: str, n: int, group_cap: int = 10000) -> RootSystem
             raise UnsupportedRank("type A needs n >= 1")
         roots = [diff(i, j) for i in range(n) for j in range(i + 1, n)]
         orbits = [0] * len(roots)
-        return RootSystem(n, roots, orbits, label="A%d" % (n - 1), group_cap=group_cap)
+        return RootSystem(n, roots, orbits, label="A%d" % (n - 1))
     if family == "B":
         if n < 1:
             raise UnsupportedRank("type B needs n >= 1")
@@ -387,18 +387,18 @@ def build_root_system(family: str, n: int, group_cap: int = 10000) -> RootSystem
         orbits = [0] * len(roots)
         roots += [e(i) for i in range(n)]
         orbits += [1] * n
-        return RootSystem(n, roots, orbits, label="B%d" % n, group_cap=group_cap)
+        return RootSystem(n, roots, orbits, label="B%d" % n)
     if family == "D":
         if n < 2:
             raise UnsupportedRank("type D needs n >= 2")
         roots = [diff(i, j) for i in range(n) for j in range(i + 1, n)]
         roots += [plus(i, j) for i in range(n) for j in range(i + 1, n)]
         orbits = [0] * len(roots)
-        return RootSystem(n, roots, orbits, label="D%d" % n, group_cap=group_cap)
+        return RootSystem(n, roots, orbits, label="D%d" % n)
     raise UnsupportedRank("unknown family %r" % family)
 
 
-def load_root_system(config: dict, group_cap: int = 10000) -> RootSystem:
+def load_root_system(config: dict) -> RootSystem:
     """Validate and build a root system from a configuration mapping.
 
     Expected fields: rank, roots (lists of rationals, "p/q" strings allowed),
@@ -428,12 +428,12 @@ def load_root_system(config: dict, group_cap: int = 10000) -> RootSystem:
     label = config.get("label", "custom")
     if not isinstance(label, str):
         raise InvalidRootSystem("malformed config: label must be a string")
-    return RootSystem(rank, roots, orbits, label=label, symbols=symbols, group_cap=group_cap)
+    return RootSystem(rank, roots, orbits, label=label, symbols=symbols)
 
 
-def load_root_system_file(path: str, group_cap: int = 10000) -> RootSystem:
+def load_root_system_file(path: str) -> RootSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_root_system(json.load(fh), group_cap=group_cap)
+        return load_root_system(json.load(fh))
 
 
 def root_system_config(rs: RootSystem) -> dict:

@@ -19,6 +19,7 @@ e.g. w"2,-1,3". Indices are 1-based in the surface syntax.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,19 +72,8 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
+class Bin(Node):
+    op: str                        # "+", "-", "*", "[" (commutator), "{" (anticommutator)
     left: Node
     right: Node
 
@@ -100,30 +90,13 @@ class Neg(Node):
 
 
 @dataclass(frozen=True)
-class Com(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Anti(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
 class RatLit(Node):
     value: Fraction
 
 
 @dataclass(frozen=True)
-class Coupling(Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class RankN(Node):
-    pass
+class Name(Node):
+    name: str                      # a coupling g..., N, Ssum, H, HOmega, Msq, rho
 
 
 @dataclass(frozen=True)
@@ -133,13 +106,14 @@ class Atom(Node):
 
 
 @dataclass(frozen=True)
-class Named(Node):
-    name: str                      # Ssum, H, HOmega, Msq, rho
-
-
-@dataclass(frozen=True)
 class GroupW(Node):
     images: tuple[int, ...]        # signed 1-based images
+
+
+_COUPLING = re.compile(r"g\d*")
+_NAMES = ("N", "Ssum", "H", "HOmega", "Msq", "rho")
+_BRACKETS = {"[": "]", "{": "}"}
+_INFIX_LEVELS = (("+", "-"), ("*",))
 
 
 _TOKEN_RE = re.compile(r"""
@@ -201,24 +175,14 @@ class _Parser:
             raise ExprSyntaxError("trailing input %r" % val, line, col, "end of input")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _, _ = self.peek()
-            if val == "+":
-                self.advance()
-                node = Add(node, self.term())
-            elif val == "-":
-                self.advance()
-                node = Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[1] == "*":
-            self.advance()
-            node = Mul(node, self.factor())
+    def expr(self, level: int = 0) -> Node:
+        """Left-associative infix operators, loosest level first."""
+        if level == len(_INFIX_LEVELS):
+            return self.factor()
+        node = self.expr(level + 1)
+        while self.peek()[1] in _INFIX_LEVELS[level]:
+            op = self.advance()[1]
+            node = Bin(op, node, self.expr(level + 1))
         return node
 
     def factor(self) -> Node:
@@ -275,20 +239,13 @@ class _Parser:
             node = self.expr()
             self.expect(")")
             return node
-        if val == "[":
+        if val in _BRACKETS:
             self.advance()
             left = self.expr()
             self.expect(",")
             right = self.expr()
-            self.expect("]")
-            return Com(left, right)
-        if val == "{":
-            self.advance()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("}")
-            return Anti(left, right)
+            self.expect(_BRACKETS[val])
+            return Bin(val, left, right)
         if kind == "name":
             self.advance()
             if val in ("x", "D"):
@@ -306,12 +263,8 @@ class _Parser:
                 except ValueError:
                     raise ExprSyntaxError("bad image tuple %s" % val2, line2, col2) from None
                 return GroupW(images)
-            if val in ("Ssum", "H", "HOmega", "Msq", "rho"):
-                return Named(val)
-            if val == "N":
-                return RankN()
-            if re.fullmatch(r"g\d*", val):
-                return Coupling(val)
+            if val in _NAMES or _COUPLING.fullmatch(val):
+                return Name(val)
             raise ExprSyntaxError("unknown name %r" % val, line, col)
         raise ExprSyntaxError("found %r" % (val or "end of input"), line, col, "an atom")
 
@@ -324,53 +277,39 @@ def parse_expression(text: str) -> Node:
 
 _PREC = {"add": 1, "mul": 2, "neg": 3, "pow": 4, "atom": 5}
 
+# op -> (format, precedence, least precedence of the left and of the right
+# operand printed without parentheses); infix operators associate to the left
+_BIN_FORMAT = {"+": ("%s + %s", _PREC["add"], _PREC["add"], _PREC["add"] + 1),
+               "-": ("%s - %s", _PREC["add"], _PREC["add"], _PREC["add"] + 1),
+               "*": ("%s*%s", _PREC["mul"], _PREC["mul"], _PREC["mul"] + 1),
+               **{o: (o + "%s, %s" + c, _PREC["atom"], 0, 0) for o, c in _BRACKETS.items()}}
+
 
 def _print(node: Node) -> tuple[str, int]:
-    if isinstance(node, Add):
-        ls, _ = _wrap(node.left, _PREC["add"])
-        rs, _ = _wrap(node.right, _PREC["add"] + 1)
-        return "%s + %s" % (ls, rs), _PREC["add"]
-    if isinstance(node, Sub):
-        ls, _ = _wrap(node.left, _PREC["add"])
-        rs, _ = _wrap(node.right, _PREC["add"] + 1)
-        return "%s - %s" % (ls, rs), _PREC["add"]
-    if isinstance(node, Mul):
-        ls, _ = _wrap(node.left, _PREC["mul"])
-        rs, _ = _wrap(node.right, _PREC["mul"] + 1)
-        return "%s*%s" % (ls, rs), _PREC["mul"]
+    if isinstance(node, Bin):
+        fmt, prec, left_min, right_min = _BIN_FORMAT[node.op]
+        return fmt % (_wrap(node.left, left_min), _wrap(node.right, right_min)), prec
     if isinstance(node, Neg):
-        s, _ = _wrap(node.operand, _PREC["neg"])
-        return "-%s" % s, _PREC["neg"]
+        return "-%s" % _wrap(node.operand, _PREC["neg"]), _PREC["neg"]
     if isinstance(node, Pow):
-        s, _ = _wrap(node.base, _PREC["pow"] + 1)
-        return "%s^%d" % (s, node.exponent), _PREC["pow"]
-    if isinstance(node, Com):
-        return "[%s, %s]" % (_print(node.left)[0], _print(node.right)[0]), _PREC["atom"]
-    if isinstance(node, Anti):
-        return "{%s, %s}" % (_print(node.left)[0], _print(node.right)[0]), _PREC["atom"]
+        return "%s^%d" % (_wrap(node.base, _PREC["pow"] + 1), node.exponent), _PREC["pow"]
     if isinstance(node, RatLit):
         v = node.value
         if v.denominator == 1:
             return str(v.numerator), _PREC["atom"] if v >= 0 else _PREC["neg"]
         return "%d/%d" % (v.numerator, v.denominator), _PREC["atom"]
-    if isinstance(node, Coupling):
+    if isinstance(node, Name):
         return node.name, _PREC["atom"]
-    if isinstance(node, RankN):
-        return "N", _PREC["atom"]
     if isinstance(node, Atom):
         return "%s[%s]" % (node.kind, ",".join(str(i) for i in node.indices)), _PREC["atom"]
-    if isinstance(node, Named):
-        return node.name, _PREC["atom"]
     if isinstance(node, GroupW):
         return 'w"%s"' % ",".join(str(i) for i in node.images), _PREC["atom"]
     raise TypeError("unknown node %r" % (node,))
 
 
-def _wrap(node: Node, min_prec: int) -> tuple[str, int]:
+def _wrap(node: Node, min_prec: int) -> str:
     s, prec = _print(node)
-    if prec < min_prec:
-        return "(" + s + ")", _PREC["atom"]
-    return s, _PREC["atom"]
+    return "(" + s + ")" if prec < min_prec else s
 
 
 def print_expression(node: Node) -> str:
@@ -427,6 +366,10 @@ def _transposition(ctx: CherednikContext, i: int, j: int):
     return ctx.rs.reflection(hit[0])
 
 
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "[": commutator, "{": anticommutator}
+
+
 class Evaluator:
     """Evaluate an AST by one dispatch over its nodes. A mode supplies its
     unit, through which every scalar enters, and builds the other leaves:
@@ -437,31 +380,22 @@ class Evaluator:
         self.unit = unit
 
     def eval(self, node: Node):
-        ctx = self.ctx
-        if isinstance(node, Add):
-            return self.eval(node.left) + self.eval(node.right)
-        if isinstance(node, Sub):
-            return self.eval(node.left) - self.eval(node.right)
-        if isinstance(node, Mul):
-            return self.eval(node.left) * self.eval(node.right)
+        if isinstance(node, Bin):
+            return _APPLY[node.op](self.eval(node.left), self.eval(node.right))
         if isinstance(node, Neg):
             return -self.eval(node.operand)
         if isinstance(node, Pow):
             return self.eval(node.base) ** node.exponent
-        if isinstance(node, Com):
-            return commutator(self.eval(node.left), self.eval(node.right))
-        if isinstance(node, Anti):
-            return anticommutator(self.eval(node.left), self.eval(node.right))
         if isinstance(node, RatLit):
             return self.unit.scaled(node.value)
-        if isinstance(node, Coupling):
-            return self.unit.scaled(self._coupling(node.name))
-        if isinstance(node, RankN):
-            return self.unit.scaled(ctx.n)
-        if isinstance(node, GroupW):
-            return self._group(_group_from_images(ctx, node.images))
-        if isinstance(node, Named):
+        if isinstance(node, Name):
+            if node.name == "N":
+                return self.unit.scaled(self.ctx.n)
+            if _COUPLING.fullmatch(node.name):
+                return self.unit.scaled(self._coupling(node.name))
             return self._named(node.name)
+        if isinstance(node, GroupW):
+            return self._group(_group_from_images(self.ctx, node.images))
         if isinstance(node, Atom):
             return self._atom(node)
         raise TypeError("unknown node %r" % (node,))

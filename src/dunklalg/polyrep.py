@@ -237,11 +237,9 @@ def partitions_up_to(total: int, parts: int):
         for k in range(min(maxpart, remaining), 0, -1):
             for rest in rec(k, slots - 1, remaining - k):
                 yield (k,) + rest
-    seen = set()
     for tot in range(total + 1):
         for lam in rec(tot, parts, tot):
-            if sum(lam) == tot and lam not in seen:
-                seen.add(lam)
+            if sum(lam) == tot:
                 yield lam
 
 

@@ -13,6 +13,7 @@ from itertools import combinations, permutations, product
 
 from .cherednik import (
     CherednikContext,
+    WrongRootSystem,
     adjoint,
     angular_hamiltonian,
     angular_momentum,
@@ -449,6 +450,8 @@ def check_rho_central(ctx: CherednikContext) -> CheckResult:
 
 def check_so3(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("so3-example")
+    if not _is_type_a(ctx):
+        raise WrongRootSystem("the so(3) example is stated for type A")
     if ctx.n != 3:
         raise ValueError("the so(3) example needs rank 3")
     M = [angular_momentum_ij(ctx, 1, 2), angular_momentum_ij(ctx, 2, 0),
@@ -490,9 +493,12 @@ def crossing_suite(ctx: CherednikContext) -> list[CheckResult]:
 
 
 def relations_gl(ctx: CherednikContext) -> list[CheckResult]:
-    return [check_com_es(ctx), check_crosgl(ctx), check_crosgl2(ctx),
-            check_relgln1(ctx), check_relgln2(ctx), check_herm_e(ctx),
-            check_rho_central(ctx)]
+    if _is_type_a(ctx):
+        return [check_com_es(ctx), check_crosgl(ctx), check_crosgl2(ctx),
+                check_relgln1(ctx), check_relgln2(ctx), check_herm_e(ctx),
+                check_rho_central(ctx)]
+    return [check_crosgl(ctx), check_crosgl2(ctx), check_relgln1(ctx),
+            check_herm_e(ctx), check_rho_central(ctx)]
 
 
 def coxeter_general(ctx: CherednikContext) -> list[CheckResult]:

@@ -5,12 +5,14 @@ import json
 import os
 import random
 import re
+import shlex
 
 import pytest
 
 from dunklalg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -91,6 +93,31 @@ def test_centre_above_the_degree_bound_is_a_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_so3_example_outside_type_a_is_a_usage_error(capsys, group):
+    # the example is stated with type-A pairings
+    code = main(["verify", "so3-example", "--group", group, "--rank", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_readme_cli_examples(capsys):
+    with open(README, "r", encoding="utf-8") as fh:
+        block = fh.read().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    commands = [line for line in lines if line.startswith("dunklalg ")]
+    assert len(commands) == 6
+    outputs = []
+    for line in commands:
+        code, out = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, line
+        outputs.append(out)
+    # the first example shows its output as a comment on the next line
+    assert "# " + outputs[0] == lines[lines.index(commands[0]) + 1] + "\n"
 
 
 def test_identical_invocations_identical_bytes(capsys):

@@ -1,5 +1,6 @@
 """Expression parser, printer round-trip, and evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,9 @@ from dunklalg.cherednik import CherednikContext
 from dunklalg.coxeter import MultiplicityMap, build_root_system
 from dunklalg.expr import (
     Atom,
-    Com,
+    Bin,
     EvalError,
     ExprSyntaxError,
-    Mul,
     RatLit,
     evaluate,
     parse_expression,
@@ -27,12 +27,12 @@ def ctx_a(n, numeric=None):
 
 def test_parse_commutator_shape():
     ast = parse_expression("[M[1,2], M[3,4]]")
-    assert ast == Com(Atom("M", (1, 2)), Atom("M", (3, 4)))
+    assert ast == Bin("[", Atom("M", (1, 2)), Atom("M", (3, 4)))
 
 
 def test_parse_precedence():
     ast = parse_expression("1/2*x[1] + x[2]^2")
-    assert isinstance(ast.left, Mul)
+    assert isinstance(ast.left, Bin) and ast.left.op == "*"
     assert ast.left.left == RatLit(Fraction(1, 2))
 
 
@@ -108,12 +108,43 @@ CORPUS = [
 ]
 
 
+# The printed form of each CORPUS entry that does not print as itself.
+REPRINTED = {
+    "HOmega + (1/2)*Msq - (1/2)*Ssum*(Ssum - N + 2)": "HOmega + 1/2*Msq - 1/2*Ssum*(Ssum - N + 2)",
+}
+
+
 def test_round_trip_corpus():
     assert len(CORPUS) >= 50
     for text in CORPUS:
         ast = parse_expression(text)
         printed = print_expression(ast)
+        assert printed == REPRINTED.get(text, text)
         assert parse_expression(printed) == ast, text
+
+
+# Every leaf kind of the grammar, and the compound forms; "%(a)s" and "%(b)s"
+# are subexpressions.
+LEAVES = ["x[1]", "D[2]", "M[1,2]", "E[2,1]", "s[1]", "s[1,2]", "S[2,3]", "Ssum", "H",
+          "HOmega", "Msq", "rho", "N", "g", "g1", "g2", "3", "1/2", 'w"2,-1,3"', "x[2]^3"]
+FORMS = ["%(a)s + %(b)s", "%(a)s - %(b)s", "%(a)s - (%(b)s)", "%(a)s*%(b)s", "%(a)s*(%(b)s)",
+         "%(a)s*-%(b)s", "-%(a)s", "(%(a)s)^2", "(-%(a)s)^3", "[%(a)s, %(b)s]", "{%(a)s, %(b)s}"]
+NESTED = ["x[1] - (x[2] - x[3])", "(-x[1])^2", "x[1]*(x[2]*x[3])", "-(x[1] - x[2])^0",
+          "[{x[1], D[1]}, -[M[1,2], g]]"]
+
+
+def _random_text(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    return rng.choice(FORMS) % {"a": _random_text(rng, depth - 1), "b": _random_text(rng, depth - 1)}
+
+
+def test_round_trip_random_texts():
+    rng = random.Random(1)
+    texts = LEAVES + NESTED + [_random_text(rng, 4) for _ in range(400)]
+    for text in texts:
+        ast = parse_expression(text)
+        assert parse_expression(print_expression(ast)) == ast, text
 
 
 def test_syntax_error_positions():

@@ -39,6 +39,24 @@ def test_rotated_group_structure():
     assert any(w.perm is None for w in rs.group())
 
 
+@pytest.mark.parametrize("family,n,counts", [
+    ("A", 2, [("com-ES", 2), ("crosgl", 16), ("crosgl2", 32), ("relgln1", 16),
+              ("relgln2", 8), ("herm-E", 6), ("rho-central", 5)]),
+    ("A", 3, [("com-ES", 18), ("crosgl", 81), ("crosgl2", 162), ("relgln1", 81),
+              ("relgln2", 48), ("herm-E", 15), ("rho-central", 12)]),
+    ("B", 2, [("crosgl", 16), ("crosgl2", 32), ("relgln1", 16), ("herm-E", 6),
+              ("rho-central", 8)]),
+    ("D", 3, [("crosgl", 81), ("crosgl2", 162), ("relgln1", 81), ("herm-E", 15),
+              ("rho-central", 15)]),
+], ids=["A2", "A3", "B2", "D3"])
+def test_relations_gl_families(family, n, counts):
+    # com-ES and relgln2 are stated with type-A pairings; elsewhere only the
+    # five general families run
+    results = suites.relations_gl(CherednikContext(build_root_system(family, n)))
+    assert [(r.name, r.instances) for r in results] == counts
+    assert all(r.passed for r in results), [r.failures[:1] for r in results]
+
+
 def test_group_cap_enforced():
     rs = rotated_b2()
     rs.group_cap = 3
