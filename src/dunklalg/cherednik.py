@@ -368,7 +368,7 @@ def rho(ctx: CherednikContext) -> PBWElement:
 
 def gamma_pm(ctx: CherednikContext, sign: int) -> CoeffPoly:
     """Restriction scalars gamma_{+-} = g N(N-1) (g N(N-1) +- 2(N-2)) / 8 (type A)."""
-    if not ctx.rs.label.startswith("A"):
+    if not ctx.rs.is_type_a():
         raise WrongRootSystem("the restriction scalars are defined for type A only")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

@@ -251,6 +251,16 @@ class RootSystem:
     def reflections(self) -> tuple[GroupElement, ...]:
         return self._reflections
 
+    def is_type_a(self) -> bool:
+        """Whether the positive roots, up to sign, are exactly the e_i - e_j
+        (i < j) in these coordinates, whatever the label says: the families
+        stated with type-A pairings need those coordinates."""
+        n = self.rank
+        roots = {tuple(int(k == i) - int(k == j) for k in range(n))
+                 for i in range(n) for j in range(i + 1, n)}
+        return (len(self.positive_roots) == len(roots)
+                and all(r in roots or tuple(-c for c in r) in roots for r in self.positive_roots))
+
     def find_root(self, vec: Sequence[Fraction]) -> tuple[int, int] | None:
         k = self._root_pos.get(tuple(vec))
         if k is None:

@@ -691,17 +691,28 @@ class XPoly(Combination):
                 add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
         return XPoly(self.nvars, self.nsym, out)
 
-    def mul_linear(self, vec: Sequence[Fraction]) -> XPoly:
-        """Product with the linear form (vec, x): one exponent shift per
-        nonzero entry of vec."""
-        if len(vec) != self.nvars:
+    def mul_linear(self, *vecs: Sequence[Fraction]) -> XPoly:
+        """Product with the linear forms (vec, x), one per vec: one exponent
+        shift per nonzero entry of each. The chain runs on raw coefficient
+        maps and builds the CoeffPolys once, at the end; an empty chain
+        returns self."""
+        if any(len(vec) != self.nvars for vec in vecs):
             raise ContextMismatch("mixed polynomial contexts")
-        parts = [(k, _exact_scalar(v)) for k, v in enumerate(vec) if v]
-        acc: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            for k, r in parts:
-                key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                _add_scaled(acc.setdefault(key, {}), c.terms, r)
+        if not vecs:
+            return self
+        acc = {e: c.terms for e, c in self.terms.items()}  # read, never written
+        for vec in vecs:
+            parts = [(k, _exact_scalar(v)) for k, v in enumerate(vec) if v]
+            src, acc = acc, {}
+            for e, c in src.items():
+                for k, r in parts:
+                    key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                    tgt = acc.get(key)
+                    if tgt is None:
+                        # a new map: c may be a live CoeffPoly's own terms
+                        acc[key] = dict(c) if r == 1 else {s: v * r for s, v in c.items()}
+                    else:
+                        _add_scaled(tgt, c, r)
         return XPoly(self.nvars, self.nsym, _coeff_polys(acc, self.nsym))
 
     def div_linear(self, vec: Sequence[Fraction]) -> XPoly | None:
@@ -732,15 +743,18 @@ class XPoly(Combination):
                 c = {s: v for s, v in rem.pop(e).items() if v}
                 if not c:
                     continue
+                # e leaves rem here, and m differs from e only in x_j, so
+                # each quotient exponent is written once; c is a new map
                 m = e[:j] + (d - 1,) + e[j + 1:]
-                _add_scaled(out.setdefault(m, {}), c, inv)
+                out[m] = c if inv == 1 else {s: v * inv for s, v in c.items()}
                 for k, r in rest:
                     key = m[:k] + (m[k] + 1,) + m[k + 1:]
                     tgt = rem.get(key)
                     if tgt is None:
-                        tgt = rem[key] = {}
+                        rem[key] = dict(c) if r == 1 else {s: v * r for s, v in c.items()}
                         lower.append(key)
-                    _add_scaled(tgt, c, r)
+                    else:
+                        _add_scaled(tgt, c, r)
         if any(v for c in rem.values() for v in c.values()):
             return None
         return XPoly(self.nvars, self.nsym, _coeff_polys(out, self.nsym))
@@ -844,12 +858,11 @@ class LocPoly:
             raise ContextMismatch("mixed localization contexts")
 
     def _lifted(self, den: dict[int, int]) -> XPoly:
-        """The numerator over den, a multiple of this denominator."""
-        num = self.num
-        for idx, m in den.items():
-            for _ in range(m - self.den.get(idx, 0)):
-                num = num.mul_linear(self.roots[idx])
-        return num
+        """The numerator over den, a multiple of this denominator: one
+        mul_linear call for the whole product of missing forms."""
+        own = self.den
+        forms = [self.roots[idx] for idx, m in den.items() for _ in range(m - own.get(idx, 0))]
+        return self.num.mul_linear(*forms) if forms else self.num
 
     def __add__(self, other: LocPoly | XPoly) -> LocPoly:
         if isinstance(other, XPoly):

@@ -27,11 +27,10 @@ from .coxeter import GroupElement, MultiplicityMap, RootSystem
 from .exactmath import CoeffPoly, LocPoly, NotDivisible, XPoly
 from .reporting import CheckResult
 
-_F1 = Fraction(1)
 
-
-def _dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def _dot(a, b) -> int | Fraction:
+    """(a, b) for vectors of exact scalars, over their common nonzero entries."""
+    return sum(x * y for x, y in zip(a, b) if x and y)
 
 
 class DunklContext:
@@ -149,31 +148,55 @@ class NablaOperator:
 
 
 def nabla_apply(ctx: DunklContext, xi, f: LocPoly) -> LocPoly:
-    """Apply the gauged operator nabla_xi to a localized polynomial."""
-    if isinstance(xi, int):
-        xi = tuple(_F1 if k == xi else Fraction(0) for k in range(ctx.n))
-    xi = tuple(Fraction(v) for v in xi)
-    out = None
-    for i, v in enumerate(xi):
-        if v:
-            d = f.derivative(i).scaled(CoeffPoly.const(v, ctx.nsym))
-            out = d if out is None else out + d
-    if out is None:
-        out = LocPoly.from_poly(ctx.zero_poly(), ctx.roots)
-    for i, alpha in enumerate(ctx.roots):
-        axi = _dot(alpha, xi)
-        if not axi:
-            continue
-        s = ctx.rs.reflection(i)
-        term = loc_act_group(ctx, s, f).scaled(-(ctx.gmap.of_root(ctx.rs, i) * axi))
-        out = out + term.over_form(i)
+    """Apply the gauged operator nabla_xi to a localized polynomial; xi is a
+    direction vector, or a coordinate index for the unit direction."""
+    return _nabla_all(ctx, (xi,), f)[0]
+
+
+def _nabla_all(ctx: DunklContext, directions, f: LocPoly) -> list[LocPoly]:
+    """nabla_xi f for every xi in directions (vectors or coordinate indices).
+
+    Each reflected term s_a f / (a, x) is formed once, on the first direction
+    with (a, xi) != 0, and each derivative d_k f once, so directions that share
+    a root share its term. Every sum adds the reflected terms first and the
+    derivatives last. The canonical form of a LocPoly is unique, so the order
+    does not change the result, but a late derivative lifts fewer terms."""
+    reflected: dict[int, LocPoly] = {}
+    derivatives: dict[int, LocPoly] = {}
+    out = []
+    for xi in directions:
+        if isinstance(xi, int):
+            xi = [int(k == xi) for k in range(ctx.n)]
+        xi = tuple(Fraction(v) for v in xi)
+        acc = None
+        for i, alpha in enumerate(ctx.roots):
+            axi = _dot(alpha, xi)
+            if not axi:
+                continue
+            term = reflected.get(i)
+            if term is None:
+                s = ctx.rs.reflection(i)
+                term = reflected[i] = loc_act_group(ctx, s, f).over_form(i)
+            term = term.scaled(-(ctx.gmap.of_root(ctx.rs, i) * axi))
+            acc = term if acc is None else acc + term
+        for k, v in enumerate(xi):
+            if v:
+                d = derivatives.get(k)
+                if d is None:
+                    d = derivatives[k] = f.derivative(k)
+                if v != 1:
+                    d = d.scaled(v)
+                acc = d if acc is None else acc + d
+        out.append(acc if acc is not None else LocPoly.from_poly(ctx.zero_poly(), ctx.roots))
     return out
 
 
 def _hamiltonian_lhs(ctx: DunklContext, f: LocPoly) -> LocPoly:
+    """-1/2 sum_i nabla_i^2 f: the inner nabla_i f come from one _nabla_all
+    call, which forms each reflected term of f once."""
     acc = None
-    for i in range(ctx.n):
-        t = nabla_apply(ctx, i, nabla_apply(ctx, i, f))
+    for i, g in enumerate(_nabla_all(ctx, range(ctx.n), f)):
+        t = nabla_apply(ctx, i, g)
         acc = t if acc is None else acc + t
     return acc.scaled(Fraction(-1, 2))
 
@@ -277,7 +300,7 @@ def _restricted_potential(ctx: DunklContext, f: LocPoly, shift: int) -> LocPoly:
 def restrict_check(ctx: DunklContext, degree_bound: int) -> CheckResult:
     """On (anti)symmetric inputs the gauged Hamiltonian restricts to the
     scalar Calogero-Moser operators, and S acts by -+ g N(N-1)/2 (type A)."""
-    if not ctx.rs.label.startswith("A"):
+    if not ctx.rs.is_type_a():
         raise WrongRootSystem("restriction checks are defined for type A")
     n = ctx.n
     if n < 2:

@@ -50,10 +50,6 @@ from .subalgebra import (
 )
 
 
-def _is_type_a(ctx: CherednikContext) -> bool:
-    return ctx.rs.label.startswith("A")
-
-
 class _Products:
     """Per-run cache of the normal forms G_ab G_cd, G_ab S_cd and S_ab G_cd,
     where G_ab = gen(ctx, a, b) is M_ab (so relations) or E_ab (gl)."""
@@ -450,7 +446,7 @@ def check_rho_central(ctx: CherednikContext) -> CheckResult:
 
 def check_so3(ctx: CherednikContext) -> CheckResult:
     r = CheckResult("so3-example")
-    if not _is_type_a(ctx):
+    if not ctx.rs.is_type_a():
         raise WrongRootSystem("the so(3) example is stated for type A")
     if ctx.n != 3:
         raise ValueError("the so(3) example needs rank 3")
@@ -478,7 +474,7 @@ def check_so3(ctx: CherednikContext) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def relations_so(ctx: CherednikContext) -> list[CheckResult]:
-    if _is_type_a(ctx):
+    if ctx.rs.is_type_a():
         return [check_com_ss(ctx), check_com_sii(ctx), check_ai(ctx),
                 check_com_sx(ctx), check_sjj_a(ctx), check_com_ms(ctx),
                 check_commutation(ctx), check_commutation_rev(ctx),
@@ -493,7 +489,7 @@ def crossing_suite(ctx: CherednikContext) -> list[CheckResult]:
 
 
 def relations_gl(ctx: CherednikContext) -> list[CheckResult]:
-    if _is_type_a(ctx):
+    if ctx.rs.is_type_a():
         return [check_com_es(ctx), check_crosgl(ctx), check_crosgl2(ctx),
                 check_relgln1(ctx), check_relgln2(ctx), check_herm_e(ctx),
                 check_rho_central(ctx)]
@@ -528,7 +524,7 @@ def hamiltonian_suite(ctx: CherednikContext, degree: int) -> list[CheckResult]:
 
 def restriction_suite(ctx: CherednikContext, degree: int) -> list[CheckResult]:
     results = [restrict_check(DunklContext.of(ctx), degree)]
-    if _is_type_a(ctx) and ctx.n >= 2:
+    if ctx.rs.is_type_a() and ctx.n >= 2:
         r = CheckResult("gamma-pm")
         g = ctx.gmap.of_orbit(0)
         n = ctx.n
@@ -616,7 +612,7 @@ def run_suite(name: str, ctx: CherednikContext, family: str, rank: int,
         elif suite_name == "pbw":
             d = degree if degree is not None else default_degree("pbw", "so", ctx)
             params["degree"] = d
-            gl_d = min(d, 2) if _is_type_a(ctx) else None
+            gl_d = min(d, 2) if ctx.rs.is_type_a() else None
             results.extend(pbw_suite(ctx, d, gl_d))
         elif suite_name == "hamiltonian":
             d = degree if degree is not None else default_degree("hamiltonian", "", ctx)
@@ -643,7 +639,7 @@ def run_suite(name: str, ctx: CherednikContext, family: str, rank: int,
 
     if name == "all":
         _run("relations-so")
-        if _is_type_a(ctx):
+        if ctx.rs.is_type_a():
             _run("crossing")
             _run("relations-gl")
             if ctx.n >= 2:

@@ -198,6 +198,37 @@ def test_custom_group_config(tmp_path, capsys):
     assert out == "x1*D1 + 1 + g*s(12)\n"
 
 
+def _config(tmp_path, name, roots, orbits, label):
+    path = tmp_path / name
+    path.write_text(json.dumps({"rank": len(roots[0]), "roots": roots, "orbits": orbits,
+                                "label": label}))
+    return "custom:%s" % path
+
+
+def _family_names(out):
+    return [line.split()[0] for line in out.splitlines()[2:] if "instances=" in line]
+
+
+def test_type_a_is_decided_by_the_roots_not_the_label(tmp_path, capsys):
+    # a B2 labelled like type A runs only the five general gl families
+    b2 = _config(tmp_path, "b2.json", [["1", "-1"], ["1", "1"], ["1", "0"], ["0", "1"]],
+                 [1, 1, 2, 2], "Angled-B2")
+    code, out = run(capsys, "verify", "relations-gl", "--group", b2, "--rank", "2")
+    assert code == 0 and "status: pass" in out
+    assert _family_names(out) == ["crosgl", "crosgl2", "relgln1", "herm-E", "rho-central"]
+    # an A2 with a neutral label runs the type-A families and the restriction
+    a2 = _config(tmp_path, "a2.json", [["1", "-1", "0"], ["1", "0", "-1"], ["0", "1", "-1"]],
+                 [1, 1, 1], "custom")
+    code, out = run(capsys, "verify", "relations-gl", "--group", a2, "--rank", "3")
+    assert code == 0 and "status: pass" in out
+    assert _family_names(out) == ["com-ES", "crosgl", "crosgl2", "relgln1", "relgln2",
+                                  "herm-E", "rho-central"]
+    code, out = run(capsys, "verify", "restriction", "--group", a2, "--rank", "3",
+                    "--degree", "2")
+    assert code == 0 and "status: pass" in out
+    assert _family_names(out) == ["restriction", "gamma-pm"]
+
+
 def test_io_error_exit_code(capsys):
     code = main(["verify", "pfaffian", "--group", "A", "--rank", "4",
                  "--format", "json", "--out", "/nonexistent-dir/report.json"])

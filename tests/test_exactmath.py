@@ -629,6 +629,53 @@ def test_linear_kernels_match_generic_division(case):
     assert non_divisible > 0
 
 
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_mul_linear_chain_matches_single_forms(case):
+    roots, nsym = ROOT_CASES[case]
+    n = len(roots[0])
+    rng = random.Random(43)
+    for _ in range(6):
+        p = rand_xpoly(rng, n, nsym, 2)
+        forms = [roots[k] for k in rng.sample(range(len(roots)), 3)]
+        forms.append(forms[1])    # a repeated form
+        stepwise, product = p, XPoly.one(n, nsym)
+        for r in forms:
+            stepwise = stepwise.mul_linear(r)
+            product = product * XPoly.linear_form(r, nsym)
+        chained = p.mul_linear(*forms)
+        assert chained == stepwise == p * product
+        for c in chained.terms.values():
+            exact_terms(c)
+        assert p.mul_linear() == p    # the empty chain
+    with pytest.raises(ContextMismatch):
+        p.mul_linear(roots[0], roots[0][:-1])
+
+
+def test_linear_kernels_leave_their_operand_alone():
+    # entries 1 and -1 take the copying branch, the others the scaled one;
+    # every form has several nonzero entries, so shifted terms collide, and
+    # dividing by (1, -1, 2, 0) copies and scales into the same remainder
+    forms = [(1, Fraction(-3, 2), 0, 2), (Fraction(2, 3), 1, -1, 0), (1, -1, 2, 0)]
+    rng = random.Random(45)
+    for _ in range(6):
+        p = rand_xpoly(rng, 4, 2, 2)
+        for r in forms:
+            pr = p.mul_linear(r, forms[0])
+            for operand, call in ((p, lambda: p.mul_linear(r, forms[0])),
+                                  (pr, lambda: pr.div_linear(r)),
+                                  (pr, lambda: pr.div_linear(forms[0])),
+                                  (p, lambda: p.div_linear(r))):
+                before = {e: dict(c.terms) for e, c in operand.terms.items()}
+                out = call()
+                assert {e: c.terms for e, c in operand.terms.items()} == before
+                if out is not None:
+                    for c in out.terms.values():
+                        exact_terms(c)
+                        assert all(c.terms is not d.terms for d in operand.terms.values())
+            assert pr.div_linear(r) == p.mul_linear(forms[0])
+            assert pr.div_linear(forms[0]) == p.mul_linear(r)
+
+
 def _reference_reduce(roots, num, den):
     """Canonical (num, den) by generic try_divide, each form as often as it goes."""
     if num.is_zero():

@@ -57,6 +57,19 @@ def test_relations_gl_families(family, n, counts):
     assert all(r.passed for r in results), [r.failures[:1] for r in results]
 
 
+def test_is_type_a_reads_the_roots():
+    assert all(build_root_system("A", n).is_type_a() for n in (1, 2, 3, 5))
+    assert not any(build_root_system(f, n).is_type_a()
+                   for f, n in (("B", 2), ("B", 3), ("D", 2), ("D", 4)))
+    assert not rotated_b2().is_type_a()
+    # signs and order of the roots do not matter, the coordinates do
+    assert load_root_system({"rank": 3, "roots": [["0", "-1", "1"], ["1", "-1", "0"],
+                                                   ["-1", "0", "1"]],
+                             "orbits": [1, 1, 1], "label": "B-like"}).is_type_a()
+    assert not load_root_system({"rank": 2, "roots": [["2", "-2"]], "orbits": [1],
+                                 "label": "A1"}).is_type_a()
+
+
 def test_group_cap_enforced():
     rs = rotated_b2()
     rs.group_cap = 3

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import pytest
+
 from dunklalg.cherednik import (
     CherednikContext,
     angular_momentum_ij,
@@ -13,14 +15,18 @@ from dunklalg.cherednik import (
     x_gen,
 )
 from dunklalg.coxeter import build_root_system
-from dunklalg.exactmath import CoeffPoly, XPoly
+
+from test_general_group import rotated_b2
+from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly
 from dunklalg.polyrep import (
     DunklContext,
+    _hamiltonian_lhs,
     apply_element,
     apply_generator_word,
     dunkl_apply,
     dunkl_apply_i,
     monomials_up_to,
+    loc_act_group,
     nabla_apply,
     restrict_check,
     to_loc,
@@ -259,3 +265,68 @@ def test_nonzero_element_detected_by_oracle():
                 hit = True
                 break
         assert hit
+
+
+# ---------------------------------------------------------------------------
+# The Hamiltonian left side against one direction at a time
+# ---------------------------------------------------------------------------
+
+def _reference_nabla(ctx, i, f):
+    """nabla_i f as a sum built one term at a time: the derivative first,
+    then each reflected term scaled and divided by its form."""
+    out = f.derivative(i)
+    for k, alpha in enumerate(ctx.roots):
+        if alpha[i]:
+            s = ctx.rs.reflection(k)
+            term = loc_act_group(ctx, s, f).scaled(-(ctx.gmap.of_root(ctx.rs, k) * alpha[i]))
+            out = out + term.over_form(k)
+    return out
+
+
+def _two_step_lhs(ctx, f):
+    """-1/2 sum_i nabla_i(nabla_i f), each application on its own."""
+    acc = None
+    for i in range(ctx.n):
+        t = _reference_nabla(ctx, i, _reference_nabla(ctx, i, f))
+        acc = t if acc is None else acc + t
+    return acc.scaled(Fraction(-1, 2))
+
+
+LHS_CASES = {
+    "A3-d2": (lambda: build_root_system("A", 3), 2),
+    "B3-d2": (lambda: build_root_system("B", 3), 2),    # two coupling symbols
+    "D4-d1": (lambda: build_root_system("D", 4), 1),
+    "B2-rotated-d2": (rotated_b2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LHS_CASES))
+def test_hamiltonian_lhs_matches_two_step_oracle(case):
+    make, degree = LHS_CASES[case]
+    ctx = DunklContext(make())
+    inputs = [to_loc(ctx, ctx.monomial(exp)) for exp in monomials_up_to(ctx.n, degree)]
+    # localized inputs from x1^degree, the last monomial (the oracle is slow
+    # on them at D4, so one monomial stands for the rest)
+    top = inputs[-1]
+    inputs += [top.over_form(0), nabla_apply(ctx, 0, top)]
+    for g in inputs:
+        lhs, ref = _hamiltonian_lhs(ctx, g), _two_step_lhs(ctx, g)
+        assert (lhs.num, lhs.den) == (ref.num, ref.den), g
+        assert nabla_apply(ctx, 1, g) == _reference_nabla(ctx, 1, g)
+    assert top.den == {} and top.num.terms.keys() == {(degree,) + (0,) * (ctx.n - 1)}
+    assert inputs[-1].den and inputs[-2].den == {0: 1}
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_nabla_in_a_general_direction_is_linear(family):
+    ctx = dctx(3, family)
+    rng = random.Random(97)
+    xi = (1, -2, Fraction(3, 2))
+    for _ in range(4):
+        f = to_loc(ctx, rand_poly(ctx, rng, deg=3))
+        for g in (f, f.over_form(1)):
+            units = [nabla_apply(ctx, i, g) for i in range(ctx.n)]
+            combo = units[0].scaled(xi[0]) + units[1].scaled(xi[1]) + units[2].scaled(xi[2])
+            assert nabla_apply(ctx, xi, g) == combo
+    zero = nabla_apply(ctx, (0, 0, 0), to_loc(ctx, ctx.one_poly()))
+    assert zero == LocPoly.from_poly(ctx.zero_poly(), ctx.roots)
