@@ -68,7 +68,7 @@ def test_criterion_01_relation_suites_type_a():
     for n in (3, 4):
         ctx = ctx_for("A", n)
         total += _assert_all(suites.relations_gl(ctx), "C1 gl N=%d" % n)
-    total += _assert_all([suites.check_so3(ctx_for("A", 3))], "C1 so3")
+    total += _assert_all([suites.family("so3-example", ctx_for("A", 3))], "C1 so3")
     print("ACCEPTANCE C1 pass: %d exact relation instances at A, N=3,4,5" % total)
 
 
@@ -78,7 +78,7 @@ def test_criterion_02_general_w_suites():
         ctx = ctx_for(family, n)
         total += _assert_all(suites.coxeter_general(ctx), "C2 %s%d" % (family, n))
     for n in (2, 3, 4):
-        total += _assert_all([suites.check_m2_decomposition(ctx_for("A", n))],
+        total += _assert_all([suites.family("m2-decomposition", ctx_for("A", n))],
                              "C2 m2 A%d" % n)
     print("ACCEPTANCE C2 pass: %d general-W instances (B2, B3, D4; M2 split at A2..A4, B2, B3)" % total)
 
@@ -86,10 +86,10 @@ def test_criterion_02_general_w_suites():
 def test_criterion_03_centrality():
     total = 0
     for family, n in (("A", 3), ("A", 4), ("B", 2), ("B", 3)):
-        total += _assert_all([suites.check_centrality_so(ctx_for(family, n))],
+        total += _assert_all([suites.family("centrality-so", ctx_for(family, n))],
                              "C3 %s%d" % (family, n))
     for n in (3, 4):
-        total += _assert_all([suites.check_rho_central(ctx_for("A", n))], "C3 rho N=%d" % n)
+        total += _assert_all([suites.family("rho-central", ctx_for("A", n))], "C3 rho N=%d" % n)
     print("ACCEPTANCE C3 pass: %d centrality identities" % total)
 
 

@@ -66,3 +66,22 @@ def test_group_elements_expose_perm():
     for rs in (build_root_system("A", 3), build_root_system("B", 2)):
         for w in rs.group():
             assert hasattr(w, "perm")
+
+
+def test_suite_table_calls_traced_engine_functions():
+    # the suite table must look the engine functions up when it runs, so that
+    # the tracer's patches of the module globals see every call
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        ctx = CherednikContext(build_root_system("A", 2))
+        reports = [suites.run_suite(name, ctx, "A", 2, degree=1)
+                   for name in ("restriction", "hamiltonian", "pbw")]
+        reports.append(suites.run_suite("centre", ctx, "A", 2, degree=1, mode="gl"))
+    finally:
+        tracer.remove()
+    counts, _ = tracer.layers()
+    assert all(r.status == "pass" for r in reports)
+    for prefix in ("polyrep.restrict_check", "polyrep.verify_hamiltonian_identity",
+                   "subalgebra.pbw_rank_check", "subalgebra.centralizer"):
+        assert counts[prefix + ".calls"] > 0, prefix

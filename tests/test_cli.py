@@ -9,7 +9,10 @@ import shlex
 
 import pytest
 
+from dunklalg.cherednik import CherednikContext
 from dunklalg.cli import main
+from dunklalg.coxeter import build_root_system
+from dunklalg.suites import run_suite
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -278,6 +281,73 @@ def test_rank_one_has_no_coupling(capsys, argv, expected):
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     else:
         assert captured.out.endswith("status: pass\n")
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_so_centre_at_rank_one(capsys, degree):
+    # H_Omega is 0 at N = 1 (no M_ij, no roots): only its power 0 counts
+    code, out = run(capsys, "verify", "centre", "--group", "A", "--rank", "1",
+                    "--degree", str(degree), "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "pass"
+    assert data["counts"] == {"centre-so": 2}
+    assert list(data["params"].items()) == [("degree", degree), ("mode", "so")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "relations-so", "--degree", "2"],
+    ["verify", "so3-example", "--degree", "3"],
+    ["verify", "hamiltonian", "--mode", "so"],
+    ["verify", "all", "--mode", "gl"],
+])
+def test_option_the_suite_does_not_take_is_a_usage_error(capsys, argv):
+    # a degree or mode the suite does not read used to be ignored silently
+    code = main(argv + ["--group", "A", "--rank", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_all_takes_a_degree(capsys):
+    code, out = run(capsys, "verify", "all", "--group", "A", "--rank", "2", "--degree", "2")
+    assert code == 0
+    assert "param degree: 2\n" in out
+    assert "hamiltonian-identity     instances=6      pass" in out
+    assert out.endswith("status: pass\n")
+
+
+SUITE_CENSUS = {
+    ("all", "A", 3): (
+        [("com-ss", 18), ("com-sii", 12), ("ai", 27), ("com-sx", 24), ("Sjjai/Sjjaj", 30),
+         ("com-MS", 12), ("son", 81), ("son-rev", 81), ("centrality-so", 12),
+         ("cros-quant", 81), ("cros-cyc-2", 81), ("cros-cyc-3", 243), ("cros-anticomm", 81),
+         ("cros-class", 0), ("com-ES", 18), ("crosgl", 81), ("crosgl2", 162),
+         ("relgln1", 81), ("relgln2", 48), ("herm-E", 15), ("rho-central", 12),
+         ("restriction", 28), ("gamma-pm", 2), ("so3-example", 21), ("com-Mw", 27),
+         ("amcoxcom", 81), ("amcoxcross", 81), ("m2-decomposition", 1), ("S-central", 3),
+         ("hamiltonian-identity", 20)],
+        {"degree": 3}),
+    ("all", "B", 2): (
+        [("amcoxcom", 16), ("amcoxcross", 16), ("com-Mw", 16), ("centrality-so", 7),
+         ("m2-decomposition", 1), ("S-central", 4), ("hamiltonian-identity", 15),
+         ("pfaffian", 1)],
+        {"degree": 4}),
+    ("relations-gl", "B", 3): (
+        [("crosgl", 81), ("crosgl2", 162), ("relgln1", 81), ("herm-E", 15),
+         ("rho-central", 18)],
+        {}),
+}
+
+
+@pytest.mark.parametrize("suite,group,rank", list(SUITE_CENSUS), ids=lambda v: str(v))
+def test_suite_census(suite, group, rank):
+    # family order, names and instance counts of whole suites, and the params
+    counts, params = SUITE_CENSUS[(suite, group, rank)]
+    report = run_suite(suite, CherednikContext(build_root_system(group, rank)), group, rank)
+    assert list(report.counts().items()) == counts
+    assert list(report.params.items()) == list(params.items())
+    assert report.status == "pass"
 
 
 def test_nonzero_residual_is_printed(capsys):

@@ -93,11 +93,11 @@ def test_scaled_roots_give_same_pairing():
 
 def test_rotated_b2_relations_hold():
     ctx = CherednikContext(rotated_b2())
-    for res in (suites.check_commutation(ctx, "amcoxcom"),
-                suites.check_crossing(ctx, "amcoxcross"),
-                suites.check_com_mw(ctx),
-                suites.check_m2_decomposition(ctx),
-                suites.check_centrality_so(ctx)):
+    for res in (suites.family("amcoxcom", ctx),
+                suites.family("amcoxcross", ctx),
+                suites.family("com-Mw", ctx),
+                suites.family("m2-decomposition", ctx),
+                suites.family("centrality-so", ctx)):
         assert res.passed, (res.name, res.failures[:1])
 
 
