@@ -6,6 +6,10 @@ Subcommands:
   basis              list basis words of the so/gl subalgebra per degree
   centre             compute the centralizer basis at a degree bound
 
+Each ``cmd_*`` handler returns its ``Report``, its extra JSON fields and its
+text body (after the report's text for verify and centre); ``run`` builds the
+context, times the handler, renders, writes and picks the exit code.
+
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error.
 Reports are byte-deterministic unless --timing is passed.
 """
@@ -17,18 +21,12 @@ import json
 import sys
 import time
 
-from .cherednik import CherednikContext, OddRank, WrongRootSystem
-from .coxeter import (
-    InvalidRootSystem,
-    MultiplicityMap,
-    UnsupportedRank,
-    build_root_system,
-    load_root_system_file,
-)
+from .cherednik import CherednikContext
+from .coxeter import MultiplicityMap, build_root_system, load_root_system_file
 from .exactmath import parse_rational
-from .expr import EvalError, ExprSyntaxError, evaluate, parse_expression, print_expression
-from .reporting import CheckResult, Report, emit_report
-from .subalgebra import DegreeBound, centralizer, get_subalgebra
+from .expr import evaluate, parse_expression, print_expression
+from .reporting import CheckResult, Report
+from .subalgebra import centralizer, get_subalgebra
 from .suites import SUITES, centre_suite, default_degree, run_suite
 
 
@@ -56,7 +54,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated rational couplings (specialises the symbols)")
 
 
-def build_context(args) -> tuple[CherednikContext, str, int]:
+def build_context(args) -> tuple[CherednikContext, str]:
     group = args.group
     if group.startswith("custom:"):
         rs = load_root_system_file(group.split(":", 1)[1])
@@ -68,90 +66,61 @@ def build_context(args) -> tuple[CherednikContext, str, int]:
     if args.numeric_g:
         values = [parse_rational(v) for v in args.numeric_g.split(",")]
         gmap = MultiplicityMap.numeric(rs, values)
-    return CherednikContext(rs, gmap), family, rs.rank
+    return CherednikContext(rs, gmap), family
 
 
-def _emit(args, payload: str) -> None:
-    """Write the payload to the --out file, if any, and then to stdout."""
+def cmd_normal_form(args, ctx, family):
+    ast = parse_expression(args.expression)
+    value = evaluate(ast, ctx, args.mode)
+    rendered = value.canonical_str() if hasattr(value, "canonical_str") else value.render()
+    report = Report(check="normal-form", family=family, rank=ctx.n,
+                    params={"expression": print_expression(ast), "mode": args.mode},
+                    results=[CheckResult("normal-form", instances=1)])
+    return report, {"normal_form": rendered}, rendered + "\n"
+
+
+def cmd_verify(args, ctx, family):
+    return run_suite(args.suite, ctx, family, degree=args.degree, mode=args.mode), {}, ""
+
+
+def cmd_basis(args, ctx, family):
+    alg = get_subalgebra(ctx, args.mode)
+    bases = [alg.basis(deg) for deg in range(args.degree + 1)]
+    words = [word.render(args.mode) for basis in bases for word in basis]
+    report = Report(check="basis", family=family, rank=ctx.n,
+                    params={"mode": args.mode, "degree": args.degree},
+                    results=[CheckResult("basis-%s" % args.mode, instances=len(words))])
+    extra = {"counts": {"degree %d" % deg: len(basis) for deg, basis in enumerate(bases)},
+             "words": words}
+    counts = ["degree %d: %d words" % (deg, len(basis)) for deg, basis in enumerate(bases)]
+    return report, extra, "\n".join(counts + words) + "\n"
+
+
+def cmd_centre(args, ctx, family):
+    degree = args.degree if args.degree is not None else default_degree("centre", args.mode, ctx)
+    solutions, aux = centralizer(args.mode, ctx, degree)
+    report = Report(check="centre", family=family, rank=ctx.n,
+                    params={"mode": args.mode, "degree": degree,
+                            "dimension": len(solutions)},
+                    results=centre_suite(args.mode, ctx, degree, (solutions, aux)))
+    return report, {}, "".join("basis element: %s\n" % sol.render() for sol in solutions)
+
+
+def run(args) -> int:
+    """Run one subcommand end to end and return its exit code."""
+    ctx, family = build_context(args)
+    start = time.monotonic()
+    report, extra, text = args.func(args, ctx, family)
+    if args.timing:
+        report.timing = time.monotonic() - start
+    if args.format == "json":
+        payload = json.dumps({**report.to_dict(), **extra}, indent=2) + "\n"
+    else:
+        payload = report.to_text() + text if args.text_report else text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     sys.stdout.write(payload)
-
-
-def cmd_normal_form(args) -> int:
-    ctx, family, rank = build_context(args)
-    start = time.monotonic()
-    ast = parse_expression(args.expression)
-    value = evaluate(ast, ctx, args.mode)
-    rendered = value.canonical_str() if hasattr(value, "canonical_str") else value.render()
-    result = CheckResult("normal-form")
-    result.instances = 1
-    report = Report(check="normal-form", family=family, rank=rank,
-                    params={"expression": print_expression(ast), "mode": args.mode},
-                    results=[result])
-    if args.timing:
-        report.timing = time.monotonic() - start
-    if args.format == "json":
-        data = report.to_dict(args.timing)
-        data["normal_form"] = rendered
-        payload = json.dumps(data, indent=2) + "\n"
-    else:
-        payload = rendered + "\n"
-    _emit(args, payload)
-    return 0
-
-
-def cmd_verify(args) -> int:
-    ctx, family, rank = build_context(args)
-    report = run_suite(args.suite, ctx, family, rank,
-                       degree=args.degree, mode=args.mode, timing=args.timing)
-    _emit(args, emit_report(report, args.format, include_timing=args.timing))
-    return 0 if report.status == "pass" else 1
-
-
-def cmd_basis(args) -> int:
-    ctx, family, rank = build_context(args)
-    alg = get_subalgebra(ctx, args.mode)
-    result = CheckResult("basis-%s" % args.mode)
-    lines = []
-    counts = {}
-    for deg in range(args.degree + 1):
-        words = alg.basis(deg)
-        counts[deg] = len(words)
-        result.instances += len(words)
-        for word in words:
-            lines.append(word.render(args.mode))
-    report = Report(check="basis", family=family, rank=rank,
-                    params={"mode": args.mode, "degree": args.degree}, results=[result])
-    if args.format == "json":
-        data = report.to_dict(args.timing)
-        data["counts"] = {"degree %d" % d: c for d, c in counts.items()}
-        data["words"] = lines
-        payload = json.dumps(data, indent=2) + "\n"
-    else:
-        out = []
-        for deg in range(args.degree + 1):
-            out.append("degree %d: %d words" % (deg, counts[deg]))
-        out.extend(lines)
-        payload = "\n".join(out) + "\n"
-    _emit(args, payload)
-    return 0
-
-
-def cmd_centre(args) -> int:
-    ctx, family, rank = build_context(args)
-    degree = args.degree if args.degree is not None else default_degree("centre", args.mode, ctx)
-    solutions, aux = centralizer(args.mode, ctx, degree)
-    results = centre_suite(args.mode, ctx, degree, (solutions, aux))
-    report = Report(check="centre", family=family, rank=rank,
-                    params={"mode": args.mode, "degree": degree,
-                            "dimension": len(solutions)},
-                    results=results)
-    payload = emit_report(report, args.format, include_timing=args.timing)
-    if args.format == "text":
-        payload += "".join("basis element: %s\n" % sol.render() for sol in solutions)
-    _emit(args, payload)
     return 0 if report.status == "pass" else 1
 
 
@@ -165,7 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_nf.add_argument("expression")
     p_nf.add_argument("--mode", choices=("cherednik", "so", "gl"), default="cherednik")
     _add_common(p_nf)
-    p_nf.set_defaults(func=cmd_normal_form)
+    p_nf.set_defaults(func=cmd_normal_form, text_report=False)
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=SUITES)
@@ -173,29 +142,27 @@ def make_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--mode", choices=("so", "gl"), default=None,
                      help="subalgebra family for the centre suite")
     _add_common(p_v)
-    p_v.set_defaults(func=cmd_verify)
+    p_v.set_defaults(func=cmd_verify, text_report=True)
 
     p_b = sub.add_parser("basis", help="list subalgebra basis words")
     p_b.add_argument("--mode", choices=("so", "gl"), default="so")
     p_b.add_argument("--degree", type=_degree, default=2)
     _add_common(p_b)
-    p_b.set_defaults(func=cmd_basis)
+    p_b.set_defaults(func=cmd_basis, text_report=False)
 
     p_c = sub.add_parser("centre", help="compute the centralizer basis")
     p_c.add_argument("--mode", choices=("so", "gl"), default="so")
     p_c.add_argument("--degree", type=_degree, default=None)
     _add_common(p_c)
-    p_c.set_defaults(func=cmd_centre)
+    p_c.set_defaults(func=cmd_centre, text_report=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ExprSyntaxError, EvalError, DegreeBound, UnsupportedRank,
-            InvalidRootSystem, WrongRootSystem, OddRank, ValueError) as exc:
+        return run(args)
+    except ValueError as exc:       # every bad-input error subclasses it
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except OSError as exc:

@@ -353,6 +353,8 @@ class RootSystem:
             directions[direction] = i
         if len(self.orbit_of) != len(self.positive_roots):
             raise InvalidRootSystem("orbit labels do not match the root list")
+        if set(self.orbit_of) != set(range(self.norbits)):
+            raise InvalidRootSystem("orbit labels must number the orbits 1..k, each used")
 
     def _check_closure(self) -> None:
         m = len(self.positive_roots)
@@ -396,7 +398,7 @@ def build_root_system(family: str, n: int) -> RootSystem:
         roots += [plus(i, j) for i in range(n) for j in range(i + 1, n)]
         orbits = [0] * len(roots)
         roots += [e(i) for i in range(n)]
-        orbits += [1] * n
+        orbits += [1 if orbits else 0] * n  # at B1 the short roots are the only orbit
         return RootSystem(n, roots, orbits, label="B%d" % n)
     if family == "D":
         if n < 2:
@@ -412,7 +414,8 @@ def load_root_system(config: dict) -> RootSystem:
     """Validate and build a root system from a configuration mapping.
 
     Expected fields: rank, roots (lists of rationals, "p/q" strings allowed),
-    orbits (1-based orbit index per root), optional symbols, optional label.
+    orbits (orbit index per root: 1..k with each used, or 0-based 0..k-1),
+    optional symbols, optional label.
     """
     if not isinstance(config, dict):
         raise InvalidRootSystem("malformed config: expected a JSON object, got %s"

@@ -865,7 +865,9 @@ class LocPoly:
         return self.num.mul_linear(*forms) if forms else self.num
 
     def __add__(self, other: LocPoly | XPoly) -> LocPoly:
-        if isinstance(other, XPoly):
+        if not isinstance(other, LocPoly):
+            if not isinstance(other, XPoly):
+                return NotImplemented
             other = LocPoly.from_poly(other, self.roots)
         self._check(other)
         den = dict(self.den)
@@ -884,6 +886,8 @@ class LocPoly:
         return LocPoly(self.roots, -self.num, self.den, reduce=False)
 
     def __sub__(self, other: LocPoly | XPoly) -> LocPoly:
+        if not isinstance(other, (LocPoly, XPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: XPoly) -> LocPoly:

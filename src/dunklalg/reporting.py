@@ -1,8 +1,9 @@
-"""Report structures shared by the verification suites and the CLI."""
+"""Report structures shared by the verification suites and the CLI.
+
+Both renderings of a ``Report`` carry its wall time exactly when it is set."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -49,7 +50,7 @@ class Report:
             out.extend(r.failures)
         return out
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         data = {
             "check": self.check,
             "group": {"family": self.family, "rank": self.rank},
@@ -58,14 +59,11 @@ class Report:
             "failures": self.failures(),
             "counts": self.counts(),
         }
-        if include_timing and self.timing is not None:
+        if self.timing is not None:
             data["timing"] = self.timing
         return data
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2) + "\n"
-
-    def to_text(self, include_timing: bool = False) -> str:
+    def to_text(self) -> str:
         lines = ["check: %s" % self.check,
                  "group: %s rank %d" % (self.family, self.rank)]
         for key in sorted(self.params):
@@ -78,15 +76,7 @@ class Report:
                 if "witness" in f:
                     lines.append("    witness: %s" % f["witness"])
         lines.append("status: %s" % self.status)
-        if include_timing and self.timing is not None:
+        if self.timing is not None:
             lines.append("timing: %.3fs" % self.timing)
         return "\n".join(lines) + "\n"
 
-
-def emit_report(report: Report, fmt: str = "text", include_timing: bool = False) -> str:
-    """Serialize a report; byte-deterministic unless timing is included."""
-    if fmt == "json":
-        return report.to_json(include_timing)
-    if fmt == "text":
-        return report.to_text(include_timing)
-    raise ValueError("unknown format %r" % fmt)

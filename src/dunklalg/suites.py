@@ -9,12 +9,11 @@ canonical form of each nonzero difference as witness. ``SUITE_TABLE`` maps
 each suite to its results(ctx, degree, mode), default degree and default
 mode (None where it takes none); ``run_suite``, ``SUITES`` and
 ``default_degree`` read it, and a degree or mode a suite does not take is
-rejected.
+rejected. ``run_suite`` returns the untimed ``Report``; the CLI times it.
 """
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -544,10 +543,9 @@ def default_degree(suite: str, mode: str | None, ctx: CherednikContext) -> int |
     return of(ctx, mode) if of is not None else None
 
 
-def run_suite(name: str, ctx: CherednikContext, family: str, rank: int,
-              degree: int | None = None, mode: str | None = None,
-              timing: bool = False) -> Report:
-    start = time.monotonic()
+def run_suite(name: str, ctx: CherednikContext, family: str,
+              degree: int | None = None, mode: str | None = None) -> Report:
+    """Run suite ``name`` on ctx and report it under ``family`` at rank ctx.n."""
     if name not in SUITE_TABLE:
         raise ValueError("unknown suite %r" % name)
     results, degree_of, default_mode = SUITE_TABLE[name]
@@ -561,8 +559,5 @@ def run_suite(name: str, ctx: CherednikContext, family: str, rank: int,
         params["degree"] = degree if degree is not None else degree_of(ctx, mode)
     if mode is not None:
         params["mode"] = mode
-    report = Report(check=name, family=family, rank=rank, params=params,
-                    results=results(ctx, params.get("degree"), mode))
-    if timing:
-        report.timing = time.monotonic() - start
-    return report
+    return Report(check=name, family=family, rank=ctx.n, params=params,
+                  results=results(ctx, params.get("degree"), mode))

@@ -75,9 +75,9 @@ def test_suite_table_calls_traced_engine_functions():
     tracer.install()
     try:
         ctx = CherednikContext(build_root_system("A", 2))
-        reports = [suites.run_suite(name, ctx, "A", 2, degree=1)
+        reports = [suites.run_suite(name, ctx, "A", degree=1)
                    for name in ("restriction", "hamiltonian", "pbw")]
-        reports.append(suites.run_suite("centre", ctx, "A", 2, degree=1, mode="gl"))
+        reports.append(suites.run_suite("centre", ctx, "A", degree=1, mode="gl"))
     finally:
         tracer.remove()
     counts, _ = tracer.layers()

@@ -165,14 +165,45 @@ def test_out_file_equals_stdout(tmp_path, capsys, argv):
     assert path.read_text() == out
 
 
-def test_timing_flag_adds_field(capsys):
-    code, out = run(capsys, "verify", "pfaffian", "--group", "A", "--rank", "4",
-                    "--format", "json", "--timing")
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "M[1,3]*M[2,4]", "--rank", "4", "--mode", "so"],
+    ["verify", "pfaffian", "--group", "A", "--rank", "4"],
+    ["basis", "--mode", "gl", "--rank", "2"],
+    ["centre", "--mode", "gl", "--rank", "2", "--degree", "1"],
+], ids=["normal-form", "verify", "basis", "centre"])
+def test_timing_flag_adds_field(capsys, argv):
+    _, plain = run(capsys, *argv, "--format", "json")
+    code, out = run(capsys, *argv, "--format", "json", "--timing")
     assert code == 0
     data = json.loads(out)
-    assert "timing" in data
+    keys = list(data)
+    assert keys.index("timing") == keys.index("counts") + 1
     data.pop("timing")
-    assert data == json.loads(golden("verify_pfaffian_a4.json"))
+    assert data == json.loads(plain) and list(data) == list(json.loads(plain))
+    # in text, only the commands that print their report show the time,
+    # on the line after its status
+    _, plain = run(capsys, *argv)
+    _, out = run(capsys, *argv, "--timing")
+    lines = out.splitlines(keepends=True)
+    timing = [k for k, line in enumerate(lines) if line.startswith("timing: ")]
+    assert len(timing) == (argv[0] in ("verify", "centre"))
+    for k in timing:
+        assert lines[k - 1].startswith("status: ")
+        del lines[k]
+    assert "".join(lines) == plain
+
+
+def test_every_usage_error_is_a_value_error():
+    # main turns each into exit 2 with one except ValueError clause
+    from dunklalg.cherednik import OddRank, WrongRootSystem
+    from dunklalg.coxeter import InvalidRootSystem, UnsupportedRank
+    from dunklalg.exactmath import ContextMismatch
+    from dunklalg.expr import EvalError, ExprSyntaxError
+    from dunklalg.subalgebra import DegreeBound
+
+    for cls in (ExprSyntaxError, EvalError, DegreeBound, UnsupportedRank,
+                InvalidRootSystem, WrongRootSystem, OddRank, ContextMismatch):
+        assert issubclass(cls, ValueError), cls.__name__
 
 
 def test_numeric_coupling_mode(capsys):
@@ -344,7 +375,7 @@ SUITE_CENSUS = {
 def test_suite_census(suite, group, rank):
     # family order, names and instance counts of whole suites, and the params
     counts, params = SUITE_CENSUS[(suite, group, rank)]
-    report = run_suite(suite, CherednikContext(build_root_system(group, rank)), group, rank)
+    report = run_suite(suite, CherednikContext(build_root_system(group, rank)), group)
     assert list(report.counts().items()) == counts
     assert list(report.params.items()) == list(params.items())
     assert report.status == "pass"
@@ -395,11 +426,17 @@ def test_root_automorphisms_outside_w(capsys, argv, expected):
     {"rank": 1, "roots": [["1"]], "orbits": [1], "symbols": ["g1", "g2"]},
     {"rank": 1, "roots": [["1"]], "orbits": [1], "label": 5},
     {"rank": 1, "roots": [["1"]], "orbits": [-1]},
+    {"rank": 3, "roots": [["1", "-1", "0"], ["1", "0", "-1"], ["0", "1", "-1"]],
+     "orbits": [2, 2, 2]},
+    {"rank": 2, "roots": [["1", "-1"], ["1", "1"], ["1", "0"], ["0", "1"]],
+     "orbits": [1, 1, 3, 3]},
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, config):
     # a JSON list used to raise TypeError; proportional roots e1 and 2e1
     # used to load and count the reflection s_e1 twice; a symbol list of the
-    # wrong length, a non-string label or a negative orbit crashed later, when used
+    # wrong length, a non-string label or a negative orbit crashed later, when
+    # used; orbit labels that skip a number made symbols no root used, and
+    # the type-A families then read the unused orbit and reported FAIL
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     code = main(["normal-form", "D[1]*x[1]", "--group", "custom:%s" % path, "--rank", "1"])

@@ -151,6 +151,17 @@ def test_load_rejects_bad_orbits():
         load_root_system(config)
 
 
+def test_orbit_labels_one_based_or_zero_based_load():
+    # labels that skip a number are rejected (tests/test_cli.py); these load
+    a2 = [["1", "-1", "0"], ["1", "0", "-1"], ["0", "1", "-1"]]
+    for orbits in ([0, 0, 0], [1, 1, 1]):
+        rs = load_root_system({"rank": 3, "roots": a2, "orbits": orbits})
+        assert rs.orbit_of == (0, 0, 0) and rs.symbols == ("g",)
+    # B1 used to label its one root orbit 1, and so had an unused orbit 0
+    rs = build_root_system("B", 1)
+    assert rs.norbits == 1 and rs.orbit_of == (0,) and rs.symbols == ("g",)
+
+
 def transposition(rs, i, j):
     idx, _ = rs.find_root(tuple(a - b for a, b in zip(e(i, rs.rank), e(j, rs.rank))))
     return rs.reflection(idx)

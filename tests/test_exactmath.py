@@ -822,6 +822,15 @@ def test_locpoly_plus_polynomial_lifts_it_in_either_order():
         x1 + 1
 
 
+def test_locpoly_plus_number_is_a_type_error_naming_its_operator():
+    # f + 1 and f - 1 used to raise AttributeError from the context check
+    f = loc(XPoly.one(3, 1), {0: 1})                        # 1/(x1 - x2)
+    for op, pattern in ((lambda: f + 1, r"for \+:"), (lambda: 1 + f, r"for \+:"),
+                        (lambda: f - 1, r"for -:"), (lambda: 1 - f, r"for -:")):
+        with pytest.raises(TypeError, match=pattern):
+            op()
+
+
 @pytest.mark.parametrize("case", sorted(ROOT_CASES))
 def test_locpoly_divides_only_by_forms_that_can_divide(case, monkeypatch):
     roots, nsym = ROOT_CASES[case]
