@@ -410,6 +410,14 @@ def build_root_system(family: str, n: int) -> RootSystem:
     raise UnsupportedRank("unknown family %r" % family)
 
 
+def _integer(value, what: str) -> int:
+    """An integral number in a config, as an int; never truncated."""
+    number = parse_rational(str(value))
+    if number.denominator != 1:
+        raise ValueError("%s %s is not an integer" % (what, value))
+    return number.numerator
+
+
 def load_root_system(config: dict) -> RootSystem:
     """Validate and build a root system from a configuration mapping.
 
@@ -421,11 +429,13 @@ def load_root_system(config: dict) -> RootSystem:
         raise InvalidRootSystem("malformed config: expected a JSON object, got %s"
                                 % type(config).__name__)
     try:
-        rank = int(config["rank"])
+        rank = _integer(config["rank"], "rank")
         roots = [tuple(parse_rational(str(v)) for v in row) for row in config["roots"]]
-        orbits_raw = [int(o) for o in config["orbits"]]
+        orbits_raw = [_integer(o, "orbit label") for o in config["orbits"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidRootSystem("malformed config: %s" % exc) from None
+    if rank < 1:
+        raise InvalidRootSystem("malformed config: rank %d is below 1" % rank)
     if orbits_raw and min(orbits_raw) == 1:
         orbits = [o - 1 for o in orbits_raw]
     else:

@@ -4,7 +4,10 @@ Provides the scalar ring Q[g1..gk] of coupling polynomials (CoeffPoly),
 polynomials in the coordinates with such coefficients (XPoly), polynomials
 localized at products of root linear forms (LocPoly), and linear algebra
 over Q(g1..gk) on sparse rows: a rank certificate modulo 2^61 - 1 at a fixed
-point, and a fraction-free sparse echelon for exact ranks and nullspaces.
+point, and a fraction-free sparse echelon for exact ranks. Nullspaces stay in
+the same polynomial arithmetic: the echelon is reduced fraction-free
+(Gauss-Jordan) and each basis vector is read off over a common multiple of
+the pivots, so no rational function of the couplings is ever formed.
 
 A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``:
 values are ints when integral wherever they enter (constructors, scaling by
@@ -988,6 +991,10 @@ class LocPoly:
 # Specialising the couplings, or reducing mod a prime, can only lower a rank
 # (Schwartz 1980; Zippel 1979). So a full row rank mod _P at one point proves
 # full row rank over Q(g); the exact echelon runs only when that falls short.
+# Every exact row, in the echelon or in a nullspace basis, is a vector of
+# CoeffPolys in one normal form (_normalize_row). Duplicate rows are not
+# searched for: a second copy of a row is never a modular pivot row, and the
+# exact echelon reduces it to zero.
 
 _P = (1 << 61) - 1
 
@@ -1055,59 +1062,38 @@ def _mod_pivot_rows(rows: Sequence[dict[int, CoeffPoly]], point: Sequence[Fracti
     return chosen
 
 
-class _RF:
-    """Internal rational function num/den over CoeffPoly, gcd-normalized."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: CoeffPoly, den: CoeffPoly | None = None, normalize: bool = True):
-        if den is None:
-            den = CoeffPoly.one(num.nsym)
-        if normalize and not num.is_zero():
-            g = coeff_gcd(num, den)
-            if g.degree() > 0 or g.content() != 1 or any(g.monomial_content()):
-                num = num.divexact(g)
-                den = den.divexact(g)
-        if num.is_zero():
-            den = CoeffPoly.one(num.nsym)
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: _RF) -> _RF:
-        return _RF(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: _RF) -> _RF:
-        return _RF(self.num * other.num, self.den * other.den)
-
-    def __neg__(self) -> _RF:
-        return _RF(-self.num, self.den, normalize=False)
-
-    def __truediv__(self, other: _RF) -> _RF:
-        if other.is_zero():
-            raise ZeroDivisionError
-        return _RF(self.num * other.den, self.den * other.num)
-
-
-def _normalize_sparse_row(row: dict[int, CoeffPoly]) -> dict[int, CoeffPoly]:
-    row = {c: p for c, p in row.items() if not p.is_zero()}
+def _normalize_row(row: dict[int, CoeffPoly]) -> dict[int, CoeffPoly]:
+    """A sparse row without zeros over a common divisor of its entries (the
+    true gcd with one coupling symbol; the monomial and integer content with
+    several), scaled to rational content 1 with its lowest column's leading
+    coefficient > 0; an empty row stays empty. Echelon rows and nullspace
+    vectors share this form."""
     if not row:
         return row
-    c = _rat_content(v for p in row.values() for v in p.terms.values())
-    if c != 1:
-        inv = _div(1, c)
-        row = {k: p * inv for k, p in row.items()}
     g: CoeffPoly | None = None
     for p in row.values():
         g = p if g is None else coeff_gcd(g, p)
         if g.degree() <= 0:
-            g = None
             break
-    if g is not None and g.degree() > 0:
+    if g.degree() > 0:
         row = {k: p.divexact(g) for k, p in row.items()}
+    r = _rat_content(v for p in row.values() for v in p.terms.values())
+    if row[min(row)].leading()[1] < 0:
+        r = -r
+    if r != 1:
+        inv = _div(1, r)
+        row = {k: p * inv for k, p in row.items()}
     return row
+
+
+def _eliminate(row: dict[int, CoeffPoly], pr: dict[int, CoeffPoly], c: int
+               ) -> dict[int, CoeffPoly]:
+    """pr[c] * row - row[c] * pr, which is 0 at column c, normalized (or {})."""
+    f1, f2 = pr[c], -row[c]
+    new = {k: f1 * v for k, v in row.items()}
+    for k, v in pr.items():
+        add_term(new, k, f2 * v)
+    return _normalize_row(new)
 
 
 def _sparse_echelon(rows: Iterable[dict[int, CoeffPoly]]) -> dict[int, dict[int, CoeffPoly]]:
@@ -1115,77 +1101,52 @@ def _sparse_echelon(rows: Iterable[dict[int, CoeffPoly]]) -> dict[int, dict[int,
     whose lowest column is the pivot column."""
     pivots: dict[int, dict[int, CoeffPoly]] = {}
     for row in rows:
-        row = _normalize_sparse_row(dict(row))
+        row = _normalize_row({c: p for c, p in row.items() if p})
         while row:
             c = min(row)
             pr = pivots.get(c)
             if pr is None:
                 pivots[c] = row
                 break
-            f1, f2 = pr[c], -row[c]
-            new = {k: f1 * v for k, v in row.items()}
-            for k, v in pr.items():
-                add_term(new, k, f2 * v)
-            row = _normalize_sparse_row(new)
+            row = _eliminate(row, pr, c)
     return pivots
-
-
-def _clear_denominators(vec: dict[int, _RF]) -> dict[int, CoeffPoly]:
-    """A CoeffPoly multiple of a nonzero sparse vector over Q(g), with the
-    common content divided out and its first entry's leading coefficient > 0."""
-    cols = sorted(vec)
-    nsym = vec[cols[0]].num.nsym
-    one = CoeffPoly.one(nsym)
-    common = one
-    for c in cols:
-        den = vec[c].den
-        common = common * den.divexact(coeff_gcd(common, den))
-    out = {c: vec[c].num * common.divexact(vec[c].den) for c in cols}
-    content = None
-    for c in cols:
-        content = out[c] if content is None else coeff_gcd(content, out[c])
-        if content == one:
-            break
-    if content != one:
-        content = content.primitive() if content.degree() > 0 else content
-        try:
-            out = {c: p.divexact(content) for c, p in out.items()}
-        except NotDivisible:
-            pass
-    r = _rat_content(v for p in out.values() for v in p.terms.values())
-    if out[cols[0]].leading()[1] < 0:
-        r = -r
-    if r != 1:
-        out = {c: p * _div(1, r) for c, p in out.items()}
-    return out
 
 
 def _echelon_nullspace(rows: Iterable[dict[int, CoeffPoly]], cols: Iterable[int], nsym: int
                        ) -> list[dict[int, CoeffPoly]]:
     """Nullspace basis over Q(g) of rows supported on cols (ascending): for
     each non-pivot column f of the exact echelon, the vector with 1 at f and 0
-    at the other non-pivot columns, by back-substitution over the pivot rows."""
+    at the other non-pivot columns, normalized.
+
+    The pivot rows are reduced fraction-free, highest pivot first, until each
+    keeps only its pivot and non-pivot columns; a pivot row c then reads
+    x_c = -row[f] / row[c] at f, and the vector is taken over a common
+    multiple of those pivots.
+    """
     pivots = _sparse_echelon(rows)
-    order = sorted(pivots, reverse=True)
-    one = _RF(CoeffPoly.one(nsym), normalize=False)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _eliminate(row, pivots[k], k)
+        pivots[c] = row
+    hits: dict[int, list[int]] = {}
+    for c, row in pivots.items():
+        for k in row:
+            if k != c:
+                hits.setdefault(k, []).append(c)
     basis = []
     for f in cols:
         if f in pivots:
             continue
-        vec = {f: one}
-        for c in order:
-            if c > f:
-                continue  # every entry of its row lies above f, where vec is 0
+        common = CoeffPoly.one(nsym)
+        for c in hits.get(f, ()):
+            den = pivots[c][c]
+            common = common * den.divexact(coeff_gcd(common, den))
+        vec = {f: common}
+        for c in hits.get(f, ()):
             row = pivots[c]
-            acc = None
-            for k, p in row.items():
-                v = vec.get(k)
-                if v is not None:
-                    t = _RF(p, normalize=False) * v
-                    acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                vec[c] = -(acc / _RF(row[c], normalize=False))
-        basis.append(_clear_denominators(vec))
+            vec[c] = -(row[f] * common.divexact(row[c]))
+        basis.append(_normalize_row(vec))
     return basis
 
 
@@ -1201,13 +1162,7 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
     solved rows and the solve repeats.
     Returns (basis, forced_zero_columns).
     """
-    work = []
-    seen = set()
-    for row in rows:
-        items = tuple(sorted((c, p.key()) for c, p in row.items() if not p.is_zero()))
-        if items and items not in seen:
-            seen.add(items)
-            work.append({c: p for c, p in row.items() if not p.is_zero()})
+    work = [{c: p for c, p in row.items() if p} for row in rows]
     forced: set[int] = set()
     changed = True
     while changed:
@@ -1275,8 +1230,12 @@ def sparse_rank_symbolic(rows: Iterable[dict[int, CoeffPoly]]) -> int:
 
 def sparse_rank_numeric(rows: Iterable[dict[int, CoeffPoly]], values: Sequence[Fraction]) -> int:
     """Rank mod _P at the rational point values, a lower bound on the rank at
-    that point; where the point has no residue mod _P, the exact rank there."""
+    that point; where the point has no residue mod _P, the exact rank there.
+    The point gives one value per coupling symbol of the rows."""
     rows = list(rows)
+    nsym = next((p.nsym for row in rows for p in row.values()), len(values))
+    if len(values) != nsym:
+        raise ValueError("expected %d coupling values, got %d" % (nsym, len(values)))
     chosen = _mod_pivot_rows(rows, values)
     if chosen is not None:
         return len(chosen)

@@ -64,6 +64,19 @@ def test_golden_centre_so_b2(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("centre_so_b3_d2.txt", ["--mode", "so", "--group", "B", "--rank", "3", "--degree", "2"]),
+    ("centre_gl_b2_d3.txt", ["--mode", "gl", "--group", "B", "--rank", "2", "--degree", "3"]),
+])
+def test_golden_centre_two_symbol_coefficients(capsys, name, argv):
+    # basis vectors whose coefficients are polynomials in both couplings
+    # (g1*g2, 2*g1^2 + 2*g2^2, 8*g1^2*g2 - 8*g2^3); both report the honest
+    # dimension discrepancy and exit 1
+    code, out = run(capsys, "centre", *argv)
+    assert out == golden(name)
+    assert code == 1
+
+
 def test_golden_centre_so_a4(capsys):
     # the first centre at N = 4: dimension 2, spanned by 1 and HOmega
     code, out = run(capsys, "centre", "--mode", "so", "--group", "A", "--rank", "4",
@@ -430,20 +443,29 @@ def test_root_automorphisms_outside_w(capsys, argv, expected):
      "orbits": [2, 2, 2]},
     {"rank": 2, "roots": [["1", "-1"], ["1", "1"], ["1", "0"], ["0", "1"]],
      "orbits": [1, 1, 3, 3]},
+    {"rank": 0, "roots": [], "orbits": []},
+    {"rank": -1, "roots": [], "orbits": []},
+    {"rank": 2.7, "roots": [["1", "-1"]], "orbits": [1]},
+    {"rank": 2, "roots": [["1", "-1"]], "orbits": [1.9]},
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, config):
     # a JSON list used to raise TypeError; proportional roots e1 and 2e1
     # used to load and count the reflection s_e1 twice; a symbol list of the
     # wrong length, a non-string label or a negative orbit crashed later, when
     # used; orbit labels that skip a number made symbols no root used, and
-    # the type-A families then read the unused orbit and reported FAIL
+    # the type-A families then read the unused orbit and reported FAIL; rank
+    # 0 or -1 crashed `verify all` with a traceback, and a rank or orbit label
+    # of 2.7 or 1.9 was truncated to 2 or 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    code = main(["normal-form", "D[1]*x[1]", "--group", "custom:%s" % path, "--rank", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    group = "custom:%s" % path
+    for argv in (["normal-form", "D[1]*x[1]", "--group", group, "--rank", "1"],
+                 ["verify", "all", "--group", group]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 def test_division_by_zero_is_a_parse_error(capsys):

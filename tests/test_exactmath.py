@@ -16,7 +16,10 @@ from dunklalg.exactmath import (
     LocPoly,
     NotDivisible,
     XPoly,
+    _div,
+    _echelon_nullspace,
     _generic_point,
+    _rat_content,
     _sparse_echelon,
     add_term,
     coeff_gcd,
@@ -411,6 +414,18 @@ def test_numeric_rank_at_a_singular_point_stays_below_symbolic():
     assert sparse_rank_numeric(rows2, [Fraction(2, 3), Fraction(5, 3)]) == 2
 
 
+def test_numeric_rank_needs_one_value_per_symbol():
+    # a short point used to read the missing symbols as 1, a long one to
+    # ignore the extra values
+    g1, g2 = CoeffPoly.symbol(0, 2), CoeffPoly.symbol(1, 2)
+    one = CoeffPoly.one(2)
+    rows = sparse([[g1, g2], [one, one]])
+    assert sparse_rank_numeric(rows, [Fraction(2), Fraction(3)]) == 2
+    for values in ([Fraction(2)], [Fraction(1)], [Fraction(2), Fraction(3), Fraction(5)]):
+        with pytest.raises(ValueError):
+            sparse_rank_numeric(rows, values)
+
+
 def test_denominator_vanishing_mod_p_stays_exact():
     g = CoeffPoly.symbol(0, 1)
     one = CoeffPoly.one(1)
@@ -485,6 +500,185 @@ def test_planted_row_joins_the_solve_without_the_others(monkeypatch):
         [[vec.get(c, zero).key() for c in range(ncols)] for vec in oracle]
 
 
+# ---------------------------------------------------------------------------
+# reference nullspace: back-substitution over rational functions
+# ---------------------------------------------------------------------------
+# The solver's kernel before fraction-free Gauss-Jordan: back-substitute each
+# free column through the echelon's pivot rows in num/den arithmetic, then
+# clear the denominators.
+
+class _RF:
+    """Rational function num/den over CoeffPoly, gcd-normalized."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None, normalize=True):
+        if den is None:
+            den = CoeffPoly.one(num.nsym)
+        if normalize and not num.is_zero():
+            g = coeff_gcd(num, den)
+            if g.degree() > 0 or g.content() != 1 or any(g.monomial_content()):
+                num = num.divexact(g)
+                den = den.divexact(g)
+        if num.is_zero():
+            den = CoeffPoly.one(num.nsym)
+        self.num = num
+        self.den = den
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return _RF(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _RF(self.num * other.num, self.den * other.den)
+
+    def __neg__(self):
+        return _RF(-self.num, self.den, normalize=False)
+
+    def __truediv__(self, other):
+        return _RF(self.num * other.den, self.den * other.num)
+
+
+def _clear_denominators(vec):
+    """A CoeffPoly multiple of a nonzero sparse vector over Q(g), with the
+    common content divided out and its first entry's leading coefficient > 0."""
+    cols = sorted(vec)
+    one = CoeffPoly.one(vec[cols[0]].num.nsym)
+    common = one
+    for c in cols:
+        den = vec[c].den
+        common = common * den.divexact(coeff_gcd(common, den))
+    out = {c: vec[c].num * common.divexact(vec[c].den) for c in cols}
+    content = None
+    for c in cols:
+        content = out[c] if content is None else coeff_gcd(content, out[c])
+        if content == one:
+            break
+    if content != one:
+        content = content.primitive() if content.degree() > 0 else content
+        try:
+            out = {c: p.divexact(content) for c, p in out.items()}
+        except NotDivisible:
+            pass
+    r = _rat_content(v for p in out.values() for v in p.terms.values())
+    if out[cols[0]].leading()[1] < 0:
+        r = -r
+    if r != 1:
+        out = {c: p * _div(1, r) for c, p in out.items()}
+    return out
+
+
+def reference_echelon_nullspace(rows, cols, nsym):
+    """_echelon_nullspace's contract, by back-substitution over _RF."""
+    pivots = _sparse_echelon(rows)
+    order = sorted(pivots, reverse=True)
+    one = _RF(CoeffPoly.one(nsym), normalize=False)
+    basis = []
+    for f in cols:
+        if f in pivots:
+            continue
+        vec = {f: one}
+        for c in order:
+            if c > f:
+                continue  # every entry of its row lies above f, where vec is 0
+            row = pivots[c]
+            acc = None
+            for k, p in row.items():
+                v = vec.get(k)
+                if v is not None:
+                    t = _RF(p, normalize=False) * v
+                    acc = t if acc is None else acc + t
+            if acc is not None and not acc.is_zero():
+                vec[c] = -(acc / _RF(row[c], normalize=False))
+        basis.append(_clear_denominators(vec))
+    return basis
+
+
+def random_rows(rng, nsym):
+    """1-5 random sparse rows on 2-7 columns, plus a combination of the first
+    two when there are two; returns (rows as dense lists, ncols)."""
+    zero = CoeffPoly.zero(nsym)
+    ncols = rng.randint(2, 7)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        row = [zero] * ncols
+        for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+            row[c] = rand_coeffpoly(rng, nsym, 2)
+        rows.append(row)
+    if len(rows) >= 2:      # a dependent row, so the rank falls short of the row count
+        a, b = rand_coeffpoly(rng, nsym, 1), rand_coeffpoly(rng, nsym, 1)
+        rows.append([a * p + b * q for p, q in zip(rows[0], rows[1])])
+    return rows, ncols
+
+
+def by_free_column(basis):
+    """A reduced nullspace basis ordered by free column: each vector's
+    highest nonzero entry sits at its free column."""
+    return sorted(basis, key=lambda vec: max(c for c, p in enumerate(vec) if p))
+
+
+def reference_nullspace(rows, ncols, nsym):
+    zero = CoeffPoly.zero(nsym)
+    return [[vec.get(c, zero) for c in range(ncols)]
+            for vec in reference_echelon_nullspace(sparse(rows), range(ncols), nsym)]
+
+
+def keys(basis):
+    return [[p.key() for p in vec] for vec in basis]
+
+
+def test_nullspace_matches_the_reference_on_random_one_symbol_rows():
+    rng = random.Random(97)
+    dims = set()
+    for _ in range(60):
+        rows, ncols = random_rows(rng, 1)
+        basis, _ = sparse_nullspace(sparse(rows), ncols, 1)
+        assert keys(by_free_column(basis)) == keys(reference_nullspace(rows, ncols, 1))
+        dims.add(len(basis))
+    assert len(dims) > 2
+
+
+def test_nullspace_spans_the_reference_on_random_two_symbol_rows():
+    # with two symbols coeff_gcd finds only monomial and integer content, so a
+    # vector is canonical only up to a polynomial factor: compare directions
+    rng = random.Random(98)
+    for _ in range(30):
+        rows, ncols = random_rows(rng, 2)
+        basis = by_free_column(sparse_nullspace(sparse(rows), ncols, 2)[0])
+        oracle = reference_nullspace(rows, ncols, 2)
+        assert len(basis) == len(oracle)
+        for u, v in zip(basis, oracle):
+            i = next(c for c, p in enumerate(u) if p)
+            assert v[i]
+            assert all((u[i] * v[j] - v[i] * u[j]).is_zero() for j in range(ncols))
+
+
+@pytest.mark.parametrize("family,group_type,rank,degree", [
+    ("so", "B", 2, 4), ("gl", "A", 2, 2), ("so", "A", 3, 4)])
+def test_centralizer_kernels_match_the_reference(monkeypatch, family, group_type, rank,
+                                                 degree):
+    from dunklalg import exactmath
+    from dunklalg.subalgebra import centralizer
+
+    solves = []
+
+    def recorded(rows, cols, nsym):
+        rows, cols = list(rows), list(cols)
+        out = _echelon_nullspace(rows, cols, nsym)
+        solves.append((rows, cols, nsym, out))
+        return out
+
+    monkeypatch.setattr(exactmath, "_echelon_nullspace", recorded)
+    centralizer(family, CherednikContext(build_root_system(group_type, rank)), degree)
+    assert any(out for _, _, _, out in solves)
+    for rows, cols, nsym, out in solves:
+        want = reference_echelon_nullspace(rows, cols, nsym)
+        assert [sorted((c, p.key()) for c, p in vec.items()) for vec in out] == \
+            [sorted((c, p.key()) for c, p in vec.items()) for vec in want]
+
+
 def test_in_span_rejects_a_vector_outside():
     g = CoeffPoly.symbol(0, 1)
     one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)
@@ -497,19 +691,9 @@ def test_in_span_rejects_a_vector_outside():
 @pytest.mark.parametrize("nsym", [1, 2])
 def test_sparse_nullspace_random_rows_against_oracle(nsym):
     rng = random.Random(53 + nsym)
-    zero = CoeffPoly.zero(nsym)
     dims = set()
     for _ in range(12):
-        ncols = rng.randint(2, 7)
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            row = [zero] * ncols
-            for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
-                row[c] = rand_coeffpoly(rng, nsym, 2)
-            rows.append(row)
-        if len(rows) >= 2:      # a dependent row, so the rank falls short of the row count
-            a, b = rand_coeffpoly(rng, nsym, 1), rand_coeffpoly(rng, nsym, 1)
-            rows.append([a * p + b * q for p, q in zip(rows[0], rows[1])])
+        rows, ncols = random_rows(rng, nsym)
         basis, _ = sparse_nullspace(sparse(rows), ncols, nsym)
         for vec in basis:
             assert all(p.is_zero() for p in matrix_apply(rows, vec))
@@ -1017,25 +1201,27 @@ def test_unit_products_share_the_other_operand():
     assert p * CoeffPoly.zero(1) == CoeffPoly.zero(1) and not p * 0
 
 
-def test_rows_from_int_and_fraction_values_dedupe_to_one(monkeypatch):
-    from dunklalg import exactmath
-
-    seen = []
-    real = exactmath._mod_pivot_rows
-
-    def counted(rows, point):
-        seen.append(len(rows))
-        return real(rows, point)
-
-    monkeypatch.setattr(exactmath, "_mod_pivot_rows", counted)
+def test_rows_from_int_and_fraction_values_give_one_basis():
     g = CoeffPoly.symbol(0, 1)
     row_f = {0: CoeffPoly(1, {(1,): Fraction(2), (0,): Fraction(1, 2)}),
              1: CoeffPoly(1, {(0,): Fraction(-3)})}
     row_i = {0: CoeffPoly(1, {(1,): 2, (0,): Fraction(1, 2)}),
              1: CoeffPoly(1, {(0,): -3})}
     basis, forced = sparse_nullspace([row_f, row_i], 2, 1)
-    assert seen == [1] and forced == []
+    assert forced == []
     assert basis == [[CoeffPoly.const(6, 1), g * 4 + 1]]
+
+
+@pytest.mark.parametrize("nsym", [1, 2])
+def test_repeated_rows_leave_the_basis_unchanged(nsym):
+    # the certificate picks one row of each repeated pair; the exact check
+    # then verifies the basis against the copy as well
+    rng = random.Random(83 + nsym)
+    for _ in range(20):
+        rows, ncols = random_rows(rng, nsym)
+        once = sparse_nullspace(sparse(rows), ncols, nsym)
+        twice = sparse_nullspace(sparse(rows + rows), ncols, nsym)
+        assert keys(twice[0]) == keys(once[0]) and twice[1] == once[1]
 
 
 def _reference_product(p, q):
