@@ -98,11 +98,11 @@ def cmd_basis(args, ctx, family):
 
 def cmd_centre(args, ctx, family):
     degree = args.degree if args.degree is not None else default_degree("centre", args.mode, ctx)
-    solutions, aux = centralizer(args.mode, ctx, degree)
+    solutions = centralizer(args.mode, ctx, degree)
     report = Report(check="centre", family=family, rank=ctx.n,
                     params={"mode": args.mode, "degree": degree,
                             "dimension": len(solutions)},
-                    results=centre_suite(args.mode, ctx, degree, (solutions, aux)))
+                    results=centre_suite(args.mode, ctx, degree, solutions))
     return report, {}, "".join("basis element: %s\n" % sol.render() for sol in solutions)
 
 

@@ -192,8 +192,8 @@ class RootSystem:
         self._root_pos = {r: k for k, r in enumerate(signed)}
         # a basis of the orthogonal complement of the root span
         rows = [{k: CoeffPoly.const(c, 0) for k, c in enumerate(r) if c} for r in self.positive_roots]
-        self._complement = tuple(tuple(c.substitute(()) for c in vec)
-                                 for vec in sparse_nullspace(rows, rank, 0)[0])
+        self._complement = tuple(tuple(vec[k].substitute(()) if k in vec else 0 for k in range(rank))
+                                 for vec in sparse_nullspace(rows, rank, 0))
         self._ids = itertools.count()
         self._by_roots: dict[tuple[int, ...], GroupElement] = {}
         self._by_cols: dict[tuple[Vector, ...], GroupElement] = {}

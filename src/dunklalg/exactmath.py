@@ -9,6 +9,11 @@ the same polynomial arithmetic: the echelon is reduced fraction-free
 (Gauss-Jordan) and each basis vector is read off over a common multiple of
 the pivots, so no rational function of the couplings is ever formed.
 
+Linear algebra reads and returns term maps ({key: CoeffPoly} without zeros):
+a row, a nullspace vector and a span test's vectors alike. numbered_rows
+numbers the keys of term maps as columns, and in_span tests membership in
+the span of term maps.
+
 A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``:
 values are ints when integral wherever they enter (constructors, scaling by
 a number, exact division, gcds, and products, sums and differences of
@@ -431,10 +436,12 @@ class CoeffPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CoeffPoly.const(other, self.nsym)
         if not isinstance(other, CoeffPoly):
-            return NotImplemented
+            try:
+                other = CoeffPoly.const(other, self.nsym)
+            except (TypeError, ValueError, OverflowError):
+                # not a scalar, or a float nan or infinity: never equal
+                return NotImplemented
         return self.nsym == other.nsym and self.terms == other.terms
 
     __hash__ = None  # mutable payload; use key() when a hashable id is needed
@@ -1151,16 +1158,17 @@ def _echelon_nullspace(rows: Iterable[dict[int, CoeffPoly]], cols: Iterable[int]
 
 
 def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
-                     ) -> tuple[list[list[CoeffPoly]], list[int]]:
-    """Nullspace of a sparse row collection.
+                     ) -> list[dict[int, CoeffPoly]]:
+    """Nullspace basis over Q(g) of sparse rows on columns 0..ncols-1, as
+    sparse vectors (column -> nonzero CoeffPoly).
 
     Rows whose support shrinks to a single column force that variable to
     zero; this pruning loop usually collapses most of the matrix. The exact
     echelon then runs on the rows that the modular certificate finds
     independent, and the basis is verified exactly against every other row;
     for each basis vector some row violates, the first such row joins the
-    solved rows and the solve repeats.
-    Returns (basis, forced_zero_columns).
+    solved rows and the solve repeats. The solved vectors come by free
+    column, then the unit vector of each column no row touches.
     """
     work = [{c: p for c, p in row.items() if p} for row in rows]
     forced: set[int] = set()
@@ -1207,14 +1215,9 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
             break
         picked |= violated
 
-    basis = [[vec.get(c, zero) for c in range(ncols)] for vec in core]
     constrained = forced.union(live)
-    for c in range(ncols):
-        if c not in constrained:
-            full = [zero] * ncols
-            full[c] = CoeffPoly.one(nsym)
-            basis.append(full)
-    return basis, sorted(forced)
+    one = CoeffPoly.one(nsym)
+    return core + [{c: one} for c in range(ncols) if c not in constrained]
 
 
 def sparse_rank_symbolic(rows: Iterable[dict[int, CoeffPoly]]) -> int:
@@ -1226,6 +1229,20 @@ def sparse_rank_symbolic(rows: Iterable[dict[int, CoeffPoly]]) -> int:
     if chosen is not None and len(chosen) == len(rows):
         return len(rows)
     return len(_sparse_echelon(rows))
+
+
+def numbered_rows(maps: Iterable[dict]) -> list[dict[int, CoeffPoly]]:
+    """Term maps with any hashable keys as sparse rows: each key becomes a
+    column, numbered in first-seen order."""
+    col: dict = {}
+    return [{col.setdefault(k, len(col)): v for k, v in m.items()} for m in maps]
+
+
+def in_span(vectors: Iterable[dict], candidate: dict) -> bool:
+    """Whether the term map candidate lies in the Q(g)-span of the term maps
+    vectors; a key no vector holds counts as a column of its own."""
+    rows = numbered_rows([*vectors, candidate])
+    return sparse_rank_symbolic(rows[:-1]) == sparse_rank_symbolic(rows)
 
 
 def sparse_rank_numeric(rows: Iterable[dict[int, CoeffPoly]], values: Sequence[Fraction]) -> int:

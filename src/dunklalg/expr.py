@@ -486,9 +486,8 @@ class SubEvaluator(Evaluator):
 
         if self.family == "gl":
             return gen(i, j) if node.kind == "E" else gen(i, j) - gen(j, i)
-        if i == j:
-            return SubElement(self.alg)
-        return gen(i, j) if i < j else -gen(j, i)
+        norm = self.alg.norm_pair(i, j)
+        return SubElement(self.alg) if norm is None else gen(*norm[1]).scaled(norm[0])
 
 
 def evaluate(text_or_ast, ctx: CherednikContext, mode: str = "cherednik"):

@@ -25,7 +25,9 @@ argument bounds the gl move by the count of incomparable factor pairs.
 The centralizer is solved in these coordinates: each commutator of an
 unknown basis word times a group tail with a constraint is straightened with
 SubElement arithmetic, one column per basis word times tail of degree up to
-d + 1, and nothing is embedded into H_c to build the rows.
+d + 1, and nothing is embedded into H_c to build the rows. Each sparse
+nullspace vector becomes one SubElement of the returned basis, and its
+terms are the term map that exactmath.in_span tests membership against.
 
   soundness: the straightening rules are the relations that the
   relations-so, relations-gl and crossing suites verify in H_c, so a vector
@@ -42,6 +44,7 @@ d + 1, and nothing is embedded into H_c to build the rows.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
@@ -62,6 +65,8 @@ from .exactmath import (
     Combination,
     XPoly,
     add_term,
+    in_span,
+    numbered_rows,
     render_terms,
     sparse_nullspace,
     sparse_rank_numeric,
@@ -495,20 +500,6 @@ def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
 # PBW flatness and the centre
 # ---------------------------------------------------------------------------
 
-def _coefficient_rows(alg: SubAlgebra, words: Sequence[SubWord]):
-    """Sparse PBW coefficient vectors of the embedded words."""
-    col_of: dict = {}
-    rows = []
-    for word in words:
-        p = alg.embed_word(word)
-        row = {}
-        for key, c in p.terms.items():
-            idx = col_of.setdefault(key, len(col_of))
-            row[idx] = c
-        rows.append(row)
-    return rows, col_of
-
-
 # rational points per degree at which pbw_rank_check reports numeric_ranks
 _SPECIALIZATIONS = 3
 _SPECIALIZATION_SEED = 12345
@@ -528,7 +519,7 @@ def pbw_rank_check(family: str, ctx: CherednikContext, d: int) -> tuple[CheckRes
         batch = alg.basis(deg)
         expected = counter(ctx.n, deg)
         words.extend(batch)
-        rows, _ = _coefficient_rows(alg, words)
+        rows = numbered_rows(alg.embed_word(word).terms for word in words)
         sym_rank = sparse_rank_symbolic(rows)
         num_ranks = []
         for _ in range(_SPECIALIZATIONS):
@@ -557,23 +548,19 @@ def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
     of the W-conjugates of those kept; for the A, B and D families that
     span is everything already.
     """
-    col = {p: k for k, p in enumerate(alg.pairs)}
     one = alg.ctx.one
     seeds = [(0, 1)] if alg.family == "so" else [(0, 0), (0, 1)]
-    order = [p for p in seeds if p in col] + [p for p in alg.pairs if p not in seeds]
+    order = [p for p in seeds if p in alg.pairs] + [p for p in alg.pairs if p not in seeds]
     kept: list[Pair] = []
-    rows: dict[tuple, dict[int, CoeffPoly]] = {}
-    rank = 0
+    # each W-conjugate of a kept generator once, keyed by its sorted terms
+    rows: dict[tuple, dict[Pair, CoeffPoly]] = {}
     for pair in order:
-        if sparse_rank_symbolic(list(rows.values()) + [{col[pair]: one}]) == rank:
+        if in_span(rows.values(), {pair: one}):
             continue
         kept.append(pair)
         for w in alg.ctx.rs.group():
-            row: dict[int, CoeffPoly] = {}
-            for (p2, c) in alg._conj_one(w, pair):
-                add_term(row, col[p2], one * c)
-            rows.setdefault(tuple(sorted((k, c.key()) for k, c in row.items())), row)
-        rank = sparse_rank_symbolic(rows.values())
+            conj = alg._conj_one(w, pair)
+            rows.setdefault(conj, {p2: one * c for p2, c in conj})
     return kept
 
 
@@ -595,34 +582,27 @@ def symbol_certificate(alg: SubAlgebra, d: int) -> None:
               else x[i] * x[n + j] for (i, j) in alg.pairs}
     for k in range(d + 1):
         words = alg.basis(k)
-        col: dict = {}
-        rows = []
-        for word in words:
-            prod = XPoly.one(2 * n, 0)
-            for pair in word.pairs:
-                prod = prod * symbol[pair]
-            rows.append({col.setdefault(e, len(col)): c for e, c in prod.terms.items()})
-        rank = sparse_rank_symbolic(rows)
+        rank = sparse_rank_symbolic(numbered_rows(
+            math.prod((symbol[pair] for pair in word.pairs), start=XPoly.one(2 * n, 0)).terms
+            for word in words))
         if rank != len(words):
             raise CertificateFailure("%s degree %d: symbol rank %d < %d basis words"
                                      % (alg.family, k, rank, len(words)))
 
 
-def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubElement], dict]:
+def centralizer(family: str, ctx: CherednikContext, d: int) -> list[SubElement]:
     """Basis of {B : [B, generators] = 0} over basis words of degree <= d
     with arbitrary group tails; solved exactly over Q(g) in the subalgebra's
-    own coordinates (see the module docstring)."""
+    own coordinates (see the module docstring). Each element is one
+    nullspace vector, its terms in unknown order."""
     alg = get_subalgebra(ctx, family)
     if d + 1 > alg.max_degree:
         raise DegreeBound("centralizer degree %d: commutators reach degree %d, above bound %d"
                           % (d, d + 1, alg.max_degree))
     symbol_certificate(alg, d + 1)
     grp = ctx.rs.group()
-    unknowns: list[SubWord] = []
-    for deg in range(d + 1):
-        for word in alg.basis(deg):
-            for tail in grp:
-                unknowns.append(SubWord(word.pairs, tail))
+    unknowns = [SubWord(word.pairs, tail)
+                for deg in range(d + 1) for word in alg.basis(deg) for tail in grp]
     kept = constraint_pairs(alg)
     constraints = [SubElement.of(alg, SubWord((pair,), ctx.e)) for pair in kept]
     constraints += [SubElement.of(alg, SubWord((), s)) for s in ctx.rs.reflections()]
@@ -632,33 +612,13 @@ def centralizer(family: str, ctx: CherednikContext, d: int) -> tuple[list[SubEle
         for c_idx, gen in enumerate(constraints):
             for key, coeff in (p * gen - gen * p).terms.items():
                 rows_by_key.setdefault((c_idx, key), {})[u_idx] = coeff
-    basis_vectors, _ = sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)
     # the unknowns are distinct words, so no two coordinates share a key
-    solutions = [SubElement(alg, {unknowns[idx]: c for idx, c in enumerate(vec) if c})
-                 for vec in basis_vectors]
+    solutions = [SubElement(alg, {unknowns[idx]: vec[idx] for idx in sorted(vec)})
+                 for vec in sparse_nullspace(list(rows_by_key.values()), len(unknowns), ctx.nsym)]
     gens = [alg.generator(i, j) for (i, j) in kept] + [group(ctx, s) for s in ctx.rs.reflections()]
     for sol in solutions:
         p = sol.embed()
         if any(not (p * g - g * p).is_zero() for g in gens):
             raise CertificateFailure("centralizer element does not commute in H_c: %s"
                                      % sol.render())
-    return solutions, {"unknowns": unknowns, "vectors": basis_vectors}
-
-
-def element_coordinates(e: SubElement, unknowns: Sequence[SubWord]) -> list[CoeffPoly] | None:
-    """Coordinates of a basis-supported element in the unknown list."""
-    index = {w: i for i, w in enumerate(unknowns)}
-    out = [e.alg.ctx.one * 0 for _ in unknowns]
-    for word, c in e.terms.items():
-        idx = index.get(word)
-        if idx is None:
-            return None
-        out[idx] = c
-    return out
-
-
-def in_span(vectors: Sequence[Sequence[CoeffPoly]], candidate: Sequence[CoeffPoly]) -> bool:
-    rows = [{i: c for i, c in enumerate(v) if not c.is_zero()} for v in vectors]
-    base_rank = sparse_rank_symbolic(rows)
-    rows.append({i: c for i, c in enumerate(candidate) if not c.is_zero()})
-    return sparse_rank_symbolic(rows) == base_rank
+    return solutions

@@ -42,16 +42,15 @@ from .cherednik import (
     zero,
     gamma_pm,
 )
+from .exactmath import in_span
 from .polyrep import DunklContext, restrict_check, verify_hamiltonian_identity
 from .reporting import CheckResult, Report
 from .subalgebra import (
     SubElement,
     SubWord,
     centralizer,
-    element_coordinates,
     get_subalgebra,
     h_omega_subelement,
-    in_span,
     pbw_rank_check,
     rho_subelement,
 )
@@ -258,13 +257,12 @@ def _crossing_class(ctx: CherednikContext, pr: _Products):
 
 def _com_mw(ctx: CherednikContext, pr: _Products):
     n = ctx.n
-    basis = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
     for widx, w in enumerate(ctx.rs.reflections()):
         gw = group(ctx, w)
         for i in range(n):
             for j in range(n):
                 lhs = gw * angular_momentum_ij(ctx, i, j)
-                rhs = angular_momentum(ctx, w.apply(basis[i]), w.apply(basis[j])) * gw
+                rhs = angular_momentum(ctx, w.cols[i], w.cols[j]) * gw
                 yield ("s%d" % widx, i, j), lhs - rhs
 
 
@@ -464,15 +462,17 @@ def restriction_suite(ctx: CherednikContext, degree: int) -> list[CheckResult]:
 
 
 def centre_suite(family: str, ctx: CherednikContext, degree: int,
-                 solved: tuple[list[SubElement], dict] | None = None) -> list[CheckResult]:
+                 solutions: list[SubElement] | None = None) -> list[CheckResult]:
     """Centralizer dimension and generator membership at desk scale.
 
     Expected dimension counts the powers of the central generator fitting in
     the degree bound (generator degree 2 for so, 1 for gl), up to the first
-    zero power (H_Omega is 0 at N = 1). ``solved`` is the result of
-    ``centralizer(family, ctx, degree)`` when the caller has it.
+    zero power (H_Omega is 0 at N = 1). Each power's normal form must lie in
+    the span of the solutions' term maps. ``solutions`` is the basis
+    ``centralizer(family, ctx, degree)`` returns, when the caller has it.
     """
-    solutions, aux = solved if solved is not None else centralizer(family, ctx, degree)
+    if solutions is None:
+        solutions = centralizer(family, ctx, degree)
     r = CheckResult("centre-%s" % family)
     alg = get_subalgebra(ctx, family)
     gen, gen_degree = (h_omega_subelement(alg), 2) if family == "so" else (rho_subelement(alg), 1)
@@ -486,10 +486,10 @@ def centre_suite(family: str, ctx: CherednikContext, degree: int,
     if len(solutions) != len(powers):
         r.record("dimension", "computed dimension %d, expected %d powers of the"
                  " central generator" % (len(solutions), len(powers)))
+    vectors = [s.terms for s in solutions]
     for k, power in enumerate(powers):
-        coords = element_coordinates(power.normal_form(), aux["unknowns"])
         r.instances += 1
-        if coords is None or not in_span(aux["vectors"], coords):
+        if not in_span(vectors, power.normal_form().terms):
             r.record("power %d not in centralizer span" % k)
     return [r]
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -24,6 +25,7 @@ from dunklalg.exactmath import (
     add_term,
     coeff_gcd,
     grevlex_key,
+    in_span,
     parse_rational,
     poly_divide_exact,
     render_terms,
@@ -31,7 +33,7 @@ from dunklalg.exactmath import (
     sparse_rank_numeric,
     sparse_rank_symbolic,
 )
-from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra, in_span
+from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
 
 
 def rand_coeffpoly(rng, nsym=1, deg=3):
@@ -252,12 +254,13 @@ def test_poly_divide_exact_raises():
 # ---------------------------------------------------------------------------
 
 def matrix_apply(rows, vec):
+    """Dense rows applied to a sparse vector {column: CoeffPoly}."""
     out = []
     for row in rows:
-        acc = CoeffPoly.zero(vec[0].nsym)
-        for a, b in zip(row, vec):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
+        acc = CoeffPoly.zero(row[0].nsym)
+        for c, b in vec.items():
+            if not row[c].is_zero():
+                acc = acc + row[c] * b
         out.append(acc)
     return out
 
@@ -291,7 +294,7 @@ def sparse(rows):
 
 
 def nullspace(rows):
-    return sparse_nullspace(sparse(rows), len(rows[0]), rows[0][0].nsym)[0]
+    return sparse_nullspace(sparse(rows), len(rows[0]), rows[0][0].nsym)
 
 
 def test_nullspace_identity():
@@ -303,8 +306,7 @@ def test_nullspace_identity():
 def test_nullspace_symmetric_row():
     g = CoeffPoly.symbol(0, 1)
     basis = nullspace([[g, -g]])
-    assert len(basis) == 1
-    assert basis[0] == [CoeffPoly.one(1), CoeffPoly.one(1)]
+    assert basis == [{0: CoeffPoly.one(1), 1: CoeffPoly.one(1)}]
 
 
 def test_nullspace_substitution_annihilates():
@@ -376,11 +378,9 @@ def test_sparse_nullspace_pruning():
         {0: g},                 # forces col 0 to zero
         {1: one, 2: -one},      # col1 = col2
     ]
-    basis, forced = sparse_nullspace(rows, 4, 1)
-    assert forced == [0]
-    assert len(basis) == 2     # (0,1,1,0) and the unconstrained col 3
-    for vec in basis:
-        assert vec[0].is_zero()
+    basis = sparse_nullspace(rows, 4, 1)
+    assert basis == [{1: one, 2: one}, {3: one}]   # and the unconstrained col 3
+    assert all(0 not in vec for vec in basis)
 
 
 P = 2 ** 61 - 1   # the modulus of the rank certificate
@@ -436,11 +436,11 @@ def test_denominator_vanishing_mod_p_stays_exact():
     assert sparse_rank_symbolic(sparse(deficient)) == 1
     for vals in ([Fraction(2)], [Fraction(1, P)]):
         assert sparse_rank_numeric(sparse(full), vals) == rank_at_specialization(full, vals) == 2
-    basis, forced = sparse_nullspace(sparse(deficient), 3, 1)
-    assert forced == [] and len(basis) == 2
+    basis = sparse_nullspace(sparse(deficient), 3, 1)
+    assert len(basis) == 2
     for vec in basis:
         assert all(p.is_zero() for p in matrix_apply(deficient, vec))
-    assert sparse_rank_symbolic(sparse(basis)) == 2
+    assert sparse_rank_symbolic(basis) == 2
 
 
 def test_rows_vanishing_at_the_certificate_point():
@@ -451,8 +451,7 @@ def test_rows_vanishing_at_the_certificate_point():
     h = g - _generic_point(1)[0]
     rows = [{0: h, 1: h}, {1: one, 2: one}]
     assert sparse_rank_symbolic(rows) == 2
-    basis, forced = sparse_nullspace(rows, 3, 1)
-    assert forced == [] and basis == [[one, -one, one]]
+    assert sparse_nullspace(rows, 3, 1) == [{0: one, 1: -one, 2: one}]
 
 
 def test_planted_row_joins_the_solve_without_the_others(monkeypatch):
@@ -490,14 +489,12 @@ def test_planted_row_joins_the_solve_without_the_others(monkeypatch):
         return real(picked, cols, nsym)
 
     monkeypatch.setattr(exactmath, "_echelon_nullspace", counted)
-    basis, forced = sparse_nullspace(sparse(rows), ncols, 1)
+    basis = sparse_nullspace(sparse(rows), ncols, 1)
     assert solved == [20, 21]
-    assert forced == [] and len(basis) == ncols - 21
+    assert len(basis) == ncols - 21
     for vec in basis:
         assert all(p.is_zero() for p in matrix_apply(rows, vec))
-    oracle = real(sparse(rows), range(ncols), 1)
-    assert [[vec[c].key() for c in range(ncols)] for vec in basis] == \
-        [[vec.get(c, zero).key() for c in range(ncols)] for vec in oracle]
+    assert keys(basis) == keys(real(sparse(rows), range(ncols), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +612,16 @@ def random_rows(rng, nsym):
 
 def by_free_column(basis):
     """A reduced nullspace basis ordered by free column: each vector's
-    highest nonzero entry sits at its free column."""
-    return sorted(basis, key=lambda vec: max(c for c, p in enumerate(vec) if p))
+    highest column sits at its free column."""
+    return sorted(basis, key=max)
 
 
 def reference_nullspace(rows, ncols, nsym):
-    zero = CoeffPoly.zero(nsym)
-    return [[vec.get(c, zero) for c in range(ncols)]
-            for vec in reference_echelon_nullspace(sparse(rows), range(ncols), nsym)]
+    return reference_echelon_nullspace(sparse(rows), range(ncols), nsym)
 
 
 def keys(basis):
-    return [[p.key() for p in vec] for vec in basis]
+    return [sorted((c, p.key()) for c, p in vec.items()) for vec in basis]
 
 
 def test_nullspace_matches_the_reference_on_random_one_symbol_rows():
@@ -634,7 +629,7 @@ def test_nullspace_matches_the_reference_on_random_one_symbol_rows():
     dims = set()
     for _ in range(60):
         rows, ncols = random_rows(rng, 1)
-        basis, _ = sparse_nullspace(sparse(rows), ncols, 1)
+        basis = sparse_nullspace(sparse(rows), ncols, 1)
         assert keys(by_free_column(basis)) == keys(reference_nullspace(rows, ncols, 1))
         dims.add(len(basis))
     assert len(dims) > 2
@@ -644,15 +639,17 @@ def test_nullspace_spans_the_reference_on_random_two_symbol_rows():
     # with two symbols coeff_gcd finds only monomial and integer content, so a
     # vector is canonical only up to a polynomial factor: compare directions
     rng = random.Random(98)
+    zero = CoeffPoly.zero(2)
     for _ in range(30):
         rows, ncols = random_rows(rng, 2)
-        basis = by_free_column(sparse_nullspace(sparse(rows), ncols, 2)[0])
+        basis = by_free_column(sparse_nullspace(sparse(rows), ncols, 2))
         oracle = reference_nullspace(rows, ncols, 2)
         assert len(basis) == len(oracle)
         for u, v in zip(basis, oracle):
-            i = next(c for c, p in enumerate(u) if p)
-            assert v[i]
-            assert all((u[i] * v[j] - v[i] * u[j]).is_zero() for j in range(ncols))
+            i = min(u)
+            assert i in v
+            assert all((u[i] * v.get(j, zero) - v[i] * u.get(j, zero)).is_zero()
+                       for j in range(ncols))
 
 
 @pytest.mark.parametrize("family,group_type,rank,degree", [
@@ -675,17 +672,23 @@ def test_centralizer_kernels_match_the_reference(monkeypatch, family, group_type
     assert any(out for _, _, _, out in solves)
     for rows, cols, nsym, out in solves:
         want = reference_echelon_nullspace(rows, cols, nsym)
-        assert [sorted((c, p.key()) for c, p in vec.items()) for vec in out] == \
-            [sorted((c, p.key()) for c, p in vec.items()) for vec in want]
+        assert keys(out) == keys(want)
 
 
 def test_in_span_rejects_a_vector_outside():
     g = CoeffPoly.symbol(0, 1)
-    one, zero = CoeffPoly.one(1), CoeffPoly.zero(1)
-    vectors = [[one, g, zero], [zero, one, g]]
-    assert in_span(vectors, [one, g + 1, g])
-    assert not in_span(vectors, [zero, zero, one])
-    assert not in_span(vectors, [one, zero, zero])
+    one = CoeffPoly.one(1)
+    vectors = [{"a": one, "b": g}, {"b": one, "c": g}]
+    assert in_span(vectors, {"a": one, "b": g + 1, "c": g})
+    assert not in_span(vectors, {"c": one})
+    assert not in_span(vectors, {"a": one})
+    # a key that no vector holds
+    assert not in_span(vectors, {"a": one, "b": g, "d": one})
+    # a candidate that needs both vectors, one scaled by a polynomial
+    assert in_span(vectors, {"a": g, "b": g * g + g + 1, "c": g * g + g})
+    assert not in_span(vectors[:1], {"a": g, "b": g * g + g + 1, "c": g * g + g})
+    # the zero candidate, also against no vectors at all
+    assert in_span(vectors, {}) and in_span([], {})
 
 
 @pytest.mark.parametrize("nsym", [1, 2])
@@ -694,7 +697,7 @@ def test_sparse_nullspace_random_rows_against_oracle(nsym):
     dims = set()
     for _ in range(12):
         rows, ncols = random_rows(rng, nsym)
-        basis, _ = sparse_nullspace(sparse(rows), ncols, nsym)
+        basis = sparse_nullspace(sparse(rows), ncols, nsym)
         for vec in basis:
             assert all(p.is_zero() for p in matrix_apply(rows, vec))
         points = [[Fraction(rng.randint(2, 40), rng.randint(1, 7)) for _ in range(nsym)]
@@ -702,7 +705,9 @@ def test_sparse_nullspace_random_rows_against_oracle(nsym):
         rank = max(rank_at_specialization(rows, vals) for vals in points)
         assert len(basis) == ncols - rank
         if basis:
-            assert max(rank_at_specialization(basis, vals) for vals in points) == len(basis)
+            zero = CoeffPoly.zero(nsym)
+            dense = [[vec.get(c, zero) for c in range(ncols)] for vec in basis]
+            assert max(rank_at_specialization(dense, vals) for vals in points) == len(basis)
         dims.add(len(basis))
     assert len(dims) > 1
 
@@ -1136,7 +1141,8 @@ def test_sparse_nullspace_of_integer_rows_gives_primitive_int_vectors():
     three, six, nine = (CoeffPoly.const(k, 0) for k in (3, 6, 9))
     zero = CoeffPoly.zero(0)
     basis = nullspace([[three, six, zero], [zero, three, nine]])
-    assert [[exact_terms(p) for p in vec] for vec in basis] == [[{(): 6}, {(): -3}, {(): 1}]]
+    assert [{c: exact_terms(p) for c, p in vec.items()} for vec in basis] == \
+        [{0: {(): 6}, 1: {(): -3}, 2: {(): 1}}]
     rng = random.Random(73)
     g = CoeffPoly.symbol(0, 1)
     zero = CoeffPoly.zero(1)
@@ -1152,9 +1158,8 @@ def test_sparse_nullspace_of_integer_rows_gives_primitive_int_vectors():
         basis = nullspace(rows)
         for vec in basis:
             assert all(p.is_zero() for p in matrix_apply(rows, vec))
-            lead = next(p for p in vec if not p.is_zero())
-            assert lead.leading()[1] > 0
-            values = [v for p in vec for v in exact_terms(p).values()]
+            assert vec[min(vec)].leading()[1] > 0
+            values = [v for p in vec.values() for v in exact_terms(p).values()]
             assert all(type(v) is int for v in values) and math.gcd(*values) == 1
             seen += 1
         point = [Fraction(rng.randint(2, 40), rng.randint(1, 7))]
@@ -1176,6 +1181,12 @@ def test_int_and_fraction_values_are_interchangeable():
     # a float given as a number converts exactly and is never stored
     assert exact_terms(CoeffPoly.const(0.5, 1)) == {(0,): Fraction(1, 2)}
     assert exact_terms(g * 0.25) == {(1,): Fraction(1, 4)}
+    # equality coerces a number exactly, as the arithmetic does
+    two = CoeffPoly.const(2, 1)
+    for other in (2.0, Decimal(2), Decimal("2.0")):
+        assert (two - other).is_zero() and two == other and other == two
+    assert two != 2.5 and two != Decimal("2.1") and CoeffPoly.const(0.1, 1) == 0.1
+    assert two != float("nan") and two != float("inf") and two != Decimal("NaN")
 
 
 def test_a_string_is_not_a_scalar():
@@ -1190,6 +1201,9 @@ def test_a_string_is_not_a_scalar():
             CoeffPoly.symbol(0, 1) * text
         with pytest.raises(TypeError):
             CoeffPoly.const(text, 1)
+        # and none is equal to a polynomial, nor raises when compared
+        assert CoeffPoly.const(Fraction(1, 2), 1) != text
+        assert not text == CoeffPoly.one(1)
 
 
 def test_unit_products_share_the_other_operand():
@@ -1207,9 +1221,7 @@ def test_rows_from_int_and_fraction_values_give_one_basis():
              1: CoeffPoly(1, {(0,): Fraction(-3)})}
     row_i = {0: CoeffPoly(1, {(1,): 2, (0,): Fraction(1, 2)}),
              1: CoeffPoly(1, {(0,): -3})}
-    basis, forced = sparse_nullspace([row_f, row_i], 2, 1)
-    assert forced == []
-    assert basis == [[CoeffPoly.const(6, 1), g * 4 + 1]]
+    assert sparse_nullspace([row_f, row_i], 2, 1) == [{0: CoeffPoly.const(6, 1), 1: g * 4 + 1}]
 
 
 @pytest.mark.parametrize("nsym", [1, 2])
@@ -1221,7 +1233,7 @@ def test_repeated_rows_leave_the_basis_unchanged(nsym):
         rows, ncols = random_rows(rng, nsym)
         once = sparse_nullspace(sparse(rows), ncols, nsym)
         twice = sparse_nullspace(sparse(rows + rows), ncols, nsym)
-        assert keys(twice[0]) == keys(once[0]) and twice[1] == once[1]
+        assert keys(twice) == keys(once)
 
 
 def _reference_product(p, q):
