@@ -13,11 +13,9 @@ across a group element uses the root system's memoized ``act_exp``. On top
 of these, each context memoizes the product template of (w1 D^b1)(x^a2 w2),
 so a product of two terms costs one exponent shift and one coefficient
 product per output term. The named elements (M_ij, E_kl, H_Omega, rho, the
-subalgebras, ...) are memoized per context by ``named``. These memos are the
-only shared state. Each is a read-mostly cache of values that depend only on
-their key, so concurrent use is safe: a thread that loses a race to fill a
-template reads the winner's entry, which is equal to its own, and ``named``
-stores with setdefault, so every thread gets the one object that won.
+subalgebras, ...) are memoized per context by ``named``. Every memo is an
+exactmath.Memo, filled once with setdefault and never evicted (``named``
+stores the same way), so threads that race share the entry that won.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -32,7 +30,7 @@ from operator import add
 from typing import Sequence
 
 from .coxeter import GroupElement, MultiplicityMap, RootSystem, invariant_sum_S, s_pair
-from .exactmath import (CoeffPoly, Combination, ContextMismatch, add_term, grevlex_key,
+from .exactmath import (CoeffPoly, Combination, ContextMismatch, Memo, add_term, grevlex_key,
                         render_monomial, render_terms)
 
 
@@ -62,10 +60,10 @@ class CherednikContext:
         self.e = rs.identity
         self.zero_exp = (0,) * self.n
         self.one = CoeffPoly.one(self.nsym)
-        self._s_terms: dict[tuple[int, int], tuple[tuple[GroupElement, CoeffPoly], ...]] = {}
-        self._dix: dict = {}
-        self._dbx: dict = {}
-        self._tm: dict = {}
+        self._s_terms = Memo(self._s_pair_terms)
+        self._dix = Memo(self._di_x)
+        self._dbx = Memo(self._d_x)
+        self._tm = Memo(self._template)
         self._named: dict = {}
 
     def named(self, key, build):
@@ -79,51 +77,43 @@ class CherednikContext:
 
     def s_terms(self, i: int, j: int) -> tuple[tuple[GroupElement, CoeffPoly], ...]:
         """S_{e_i e_j} as (group element, coefficient) pairs."""
-        key = (i, j)
-        cached = self._s_terms.get(key)
-        if cached is None:
-            ga = s_pair([1 if k == i else 0 for k in range(self.n)],
-                        [1 if k == j else 0 for k in range(self.n)],
-                        self.rs, self.gmap)
-            cached = tuple(ga.terms.items())
-            self._s_terms[key] = cached
-        return cached
+        return self._s_terms[i, j]
 
-    def _di_x(self, i: int, c: tuple[int, ...]):
-        """Normal form of D_i x^c: ((coef, xexp, w, has_trailing_D_i), ...)."""
-        key = (i, c)
-        cached = self._dix.get(key)
-        if cached is not None:
-            return cached
+    def _s_pair_terms(self, key: tuple[int, int]):
+        i, j = key
+        ga = s_pair([1 if k == i else 0 for k in range(self.n)],
+                    [1 if k == j else 0 for k in range(self.n)],
+                    self.rs, self.gmap)
+        return tuple(ga.terms.items())
+
+    def _di_x(self, key: tuple[int, tuple[int, ...]]):
+        """Normal form of D_i x^c, key (i, c): ((coef, xexp, w, trailing_D_i), ...)."""
+        i, c = key
         if c == self.zero_exp:
-            cached = ((self.one, self.zero_exp, self.e, True),)
-            self._dix[key] = cached
-            return cached
+            return ((self.one, self.zero_exp, self.e, True),)
         j = next(k for k, p in enumerate(c) if p)
         c2 = _bump(c, j, -1)
         out = []
-        for coef, a, w, flag in self._di_x(i, c2):
+        for coef, a, w, flag in self._dix[i, c2]:
             out.append((coef, _bump(a, j), w, flag))
         for w, kappa in self.s_terms(i, j):
             for f, a in self.rs.act_exp(w, c2):
                 out.append((kappa * f if f != 1 else kappa, a, w, False))
-        cached = tuple(out)
-        self._dix[key] = cached
-        return cached
+        return tuple(out)
 
     def db_x(self, b: tuple[int, ...], c: tuple[int, ...]):
         """Normal form of D^b x^c: ((coef, xexp, w, dexp), ...)."""
         if b == self.zero_exp:
             return ((self.one, c, self.e, self.zero_exp),)
-        key = (b, c)
-        cached = self._dbx.get(key)
-        if cached is not None:
-            return cached
+        return self._dbx[b, c]
+
+    def _d_x(self, key: tuple[tuple[int, ...], tuple[int, ...]]):
+        b, c = key
         i = next(k for k, p in enumerate(b) if p)
         base = self.db_x(_bump(b, i, -1), c)
         acc: dict[TermKey, CoeffPoly] = {}
         for coef, alpha, u, beta in base:
-            for coef2, a2, u2, flag in self._di_x(i, alpha):
+            for coef2, a2, u2, flag in self._dix[i, alpha]:
                 w = u2 * u
                 cc = coef * coef2
                 if flag:
@@ -133,9 +123,7 @@ class CherednikContext:
                         add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
                 else:
                     add_term(acc, (a2, w, beta), cc)
-        cached = tuple((v, a, w, bb) for (a, w, bb), v in acc.items())
-        self._dbx[key] = cached
-        return cached
+        return tuple((v, a, w, bb) for (a, w, bb), v in acc.items())
 
     def template(self, w1: GroupElement, b1: tuple[int, ...], a2: tuple[int, ...],
                  w2: GroupElement):
@@ -145,10 +133,10 @@ class CherednikContext:
         D^(bx+b2). Entries are in the order the rewriting produces them and
         repeated keys are not merged, so products fill their accumulators in
         one fixed order. Memoized per (w1, b1, a2, w2)."""
-        key = (w1, b1, a2, w2)
-        cached = self._tm.get(key)
-        if cached is not None:
-            return cached
+        return self._tm[w1, b1, a2, w2]
+
+    def _template(self, key):
+        w1, b1, a2, w2 = key
         act = self.rs.act_exp
         w2inv = w2.inverse()
         out = []
@@ -161,7 +149,7 @@ class CherednikContext:
                 else:
                     for f2, bx in act(w2inv, beta):
                         out.append((ax, w, bx, c1 * f2 if f2 != 1 else c1))
-        return self._tm.setdefault(key, tuple(out))
+        return tuple(out)
 
 
 class PBWElement(Combination):

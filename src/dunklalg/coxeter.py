@@ -18,10 +18,8 @@ across threads is safe.
 
 ``RootSystem.act_exp`` is the one action of W on monomials; cherednik,
 polyrep and exactmath's ``XPoly.map_monomials`` and ``LocPoly.act`` all go
-through it. Its memo on the root system is filled with ``dict.setdefault``
-and every entry is an immutable tuple that depends only on (w, exponent), so
-a thread that loses a race reads an equal entry and sharing the memo across
-threads is safe too.
+through it. Its memo is an exactmath.Memo, filled once with setdefault and
+never evicted.
 
 The module also builds the group-algebra pairing S_{xi,eta} and the
 invariant sum S, which drive every deformed commutation relation upstream.
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactmath import (CoeffPoly, Combination, add_term, format_rational, parse_rational,
+from .exactmath import (CoeffPoly, Combination, Memo, add_term, format_rational, parse_rational,
                         render_terms, sparse_nullspace)
 
 Vector = tuple[Fraction, ...]
@@ -198,7 +196,7 @@ class RootSystem:
         self._by_roots: dict[tuple[int, ...], GroupElement] = {}
         self._by_cols: dict[tuple[Vector, ...], GroupElement] = {}
         self._group: tuple[GroupElement, ...] | None = None
-        self._act: dict[tuple[GroupElement, tuple[int, ...]], tuple] = {}
+        self._act = Memo(self._act_exp)
         self.identity = self._intern(
             tuple(tuple(Fraction(int(i == j)) for i in range(rank)) for j in range(rank)),
             tuple(range(len(signed))))
@@ -301,10 +299,10 @@ class RootSystem:
         The one place where W acts on polynomials: a signed permutation
         moves the exponents, any other element expands the product of the
         images of the x_j. Memoized per (w, a)."""
-        key = (w, a)
-        cached = self._act.get(key)
-        if cached is not None:
-            return cached
+        return self._act[w, a]
+
+    def _act_exp(self, key: tuple[GroupElement, tuple[int, ...]]):
+        w, a = key
         if w.perm is not None:
             out = [0] * self.rank
             sign = 1
@@ -313,20 +311,18 @@ class RootSystem:
                     out[w.perm[j]] = p
                     if w.signs[j] != 1 and p % 2:
                         sign = -sign
-            cached = ((sign, tuple(out)),)
-        else:
-            terms = {(0,) * self.rank: 1}
-            for j, p in enumerate(a):
-                for _ in range(p):
-                    new: dict[tuple[int, ...], Fraction] = {}
-                    for exp, c in terms.items():
-                        for k, v in enumerate(w.cols[j]):
-                            if v:
-                                key2 = exp[:k] + (exp[k] + 1,) + exp[k + 1:]
-                                new[key2] = new.get(key2, 0) + c * v
-                    terms = {e2: c for e2, c in new.items() if c}
-            cached = tuple((c, e2) for e2, c in terms.items())
-        return self._act.setdefault(key, cached)
+            return ((sign, tuple(out)),)
+        terms = {(0,) * self.rank: 1}
+        for j, p in enumerate(a):
+            for _ in range(p):
+                new: dict[tuple[int, ...], Fraction] = {}
+                for exp, c in terms.items():
+                    for k, v in enumerate(w.cols[j]):
+                        if v:
+                            key2 = exp[:k] + (exp[k] + 1,) + exp[k + 1:]
+                            new[key2] = new.get(key2, 0) + c * v
+                terms = {e2: c for e2, c in new.items() if c}
+        return tuple((c, e2) for e2, c in terms.items())
 
     # -- validation -----------------------------------------------------------
 

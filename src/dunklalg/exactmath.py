@@ -21,7 +21,8 @@ single-term coupling polynomials), so the bulk of the products are int
 products, and every division goes through ``Fraction``.
 
 All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+function, so they are safe to share across threads. Every engine memo is a
+Memo: filled once per key with setdefault and never evicted.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ def add_term(acc: dict, key, value) -> None:
         acc[key] = value
     elif prev is not None:
         del acc[key]
+
+
+class Memo(dict):
+    """A dict that fills a missing key with build(key), stored with
+    setdefault: a build that finds its key filled when it returns (a racing
+    thread won) yields, so every caller gets one object. Never evicted."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.build(key))
 
 
 def sub_term(acc: dict, key, value) -> None:

@@ -42,7 +42,7 @@ from .cherednik import (
     s_sum,
     x_gen,
 )
-from .coxeter import invariant_sum_S
+from .coxeter import _apply_cols, invariant_sum_S
 from .exactmath import CoeffPoly
 from .subalgebra import SubElement, SubWord, get_subalgebra, h_omega_subelement, rho_subelement
 
@@ -329,11 +329,12 @@ def _group_from_images(ctx: CherednikContext, images: tuple[int, ...]):
             raise EvalError("image index %d out of range" % v)
         cols.append(tuple(Fraction(1 if v > 0 else -1) if t == k else Fraction(0)
                           for t in range(n)))
-    w = ctx.rs.element(tuple(cols))
+    cols = tuple(cols)
+    # checked before interning, so a rejected literal leaves no element behind
     allroots = set(ctx.rs.positive_roots) | {tuple(-c for c in r) for r in ctx.rs.positive_roots}
-    if {w.apply(r) for r in allroots} != allroots:
+    if {_apply_cols(cols, r) for r in allroots} != allroots:
         raise EvalError("group element does not preserve the root system")
-    return w
+    return ctx.rs.element(cols)
 
 
 def _check_index(ctx: CherednikContext, i: int) -> int:
@@ -358,6 +359,8 @@ def _reflection(ctx: CherednikContext, indices: tuple[int, ...]):
 
 
 def _transposition(ctx: CherednikContext, i: int, j: int):
+    if i == j:
+        raise EvalError("s[i,j] needs two distinct indices")
     n = ctx.n
     vec = tuple(Fraction(1 if t == i else (-1 if t == j else 0)) for t in range(n))
     hit = ctx.rs.find_root(vec)
@@ -495,5 +498,5 @@ def evaluate(text_or_ast, ctx: CherednikContext, mode: str = "cherednik"):
     if mode == "cherednik":
         return PBWEvaluator(ctx).eval(node)
     if mode in ("so", "gl"):
-        return SubEvaluator(ctx, mode).eval(node).normal_form()
+        return SubEvaluator(ctx, mode).eval(node)
     raise ValueError("unknown mode %r" % mode)

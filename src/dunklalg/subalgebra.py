@@ -63,6 +63,7 @@ from .coxeter import GroupElement, invariant_sum_S
 from .exactmath import (
     CoeffPoly,
     Combination,
+    Memo,
     XPoly,
     add_term,
     in_span,
@@ -161,7 +162,8 @@ def count_chain_multisets(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SubAlgebra:
-    """Rewriting context for one family over one Cherednik context."""
+    """Rewriting context for one family over one Cherednik context. Its
+    straightening, conjugation and embedding memos are exactmath.Memos."""
 
     def __init__(self, ctx: CherednikContext, family: str, max_degree: int = 12):
         if family not in ("so", "gl"):
@@ -172,9 +174,9 @@ class SubAlgebra:
         n = ctx.n
         self.pairs: tuple[Pair, ...] = tuple(
             (i, j) for i in range(n) for j in range(i + 1 if family == "so" else 0, n))
-        self._memo: dict[tuple[Pair, ...], dict[SubWord, CoeffPoly]] = {}
-        self._embed_cache: dict[SubWord, PBWElement] = {}
-        self._conj: dict[tuple[GroupElement, Pair], tuple[tuple[Pair, Fraction], ...]] = {}
+        self._memo = Memo(self._straighten)
+        self._embed_cache = Memo(self._embed)
+        self._conj = Memo(self._conj_one)
 
     # -- generator-level data --------------------------------------------------
 
@@ -200,23 +202,20 @@ class SubAlgebra:
         results = [((), 1)]
         for pair in pairs:
             results = [(acc + (p2,), c0 * c1) for (acc, c0) in results
-                       for (p2, c1) in self._conj_one(w, pair)]
+                       for (p2, c1) in self._conj[w, pair]]
         return [(acc, self.ctx.one * c) for (acc, c) in results]
 
-    def _conj_one(self, w: GroupElement, pair: Pair):
-        """w gen_pair w^{-1} as ((pair, rational), ...) in pair order: the
-        generator of (w e_i, w e_j), expanded through norm_pair."""
-        key = (w, pair)
-        cached = self._conj.get(key)
-        if cached is None:
-            acc: dict[Pair, Fraction] = {}
-            for k, a in enumerate(w.cols[pair[0]]):
-                for l, b in enumerate(w.cols[pair[1]]):
-                    norm = self.norm_pair(k, l)
-                    if a and b and norm is not None:
-                        add_term(acc, norm[1], norm[0] * a * b)
-            cached = self._conj.setdefault(key, tuple(sorted(acc.items())))
-        return cached
+    def _conj_one(self, key: tuple[GroupElement, Pair]):
+        """w gen_pair w^{-1}, key (w, pair), as ((pair, rational), ...) in pair
+        order: the generator of (w e_i, w e_j), expanded through norm_pair."""
+        w, (i, j) = key
+        acc: dict[Pair, Fraction] = {}
+        for k, a in enumerate(w.cols[i]):
+            for l, b in enumerate(w.cols[j]):
+                norm = self.norm_pair(k, l)
+                if a and b and norm is not None:
+                    add_term(acc, norm[1], norm[0] * a * b)
+        return tuple(sorted(acc.items()))
 
     # -- relation right-hand sides ---------------------------------------------
 
@@ -283,7 +282,7 @@ class SubAlgebra:
         for (sign, left, mid, right) in corrections:
             if left is not None:
                 for (w, kappa) in self.ctx.s_terms(*left):
-                    for (mid2, cmid) in self._conj_one(w, mid):
+                    for (mid2, cmid) in self._conj[w, mid]:
                         self._push_word(acc, prefix + (mid2,), w, suffix,
                                         coeff * kappa * cmid * sign)
             else:
@@ -302,15 +301,10 @@ class SubAlgebra:
         for (suf2, csuf) in self.conj_pairs(w, suffix):
             acc.append((prefix + suf2, w, coeff * csuf))
 
-    def _straighten(self, pairs: tuple[Pair, ...]):
-        cached = self._memo.get(pairs)
-        if cached is not None:
-            return cached
-        out: dict[SubWord, CoeffPoly] = {}
+    def _straighten(self, pairs: tuple[Pair, ...]) -> dict[SubWord, CoeffPoly]:
         if self._is_basis(pairs):
-            out[SubWord(pairs, self.ctx.e)] = self.ctx.one
-            self._memo[pairs] = out
-            return out
+            return {SubWord(pairs, self.ctx.e): self.ctx.one}
+        out: dict[SubWord, CoeffPoly] = {}
 
         word = list(pairs)
         pending: list[tuple[tuple[Pair, ...], GroupElement, CoeffPoly]] = []
@@ -337,12 +331,11 @@ class SubAlgebra:
             if self._is_basis(top):
                 add_term(out, SubWord(top, self.ctx.e), c)
             else:
-                for word, c2 in self._straighten(top).items():
+                for word, c2 in self._memo[top].items():
                     add_term(out, word, c * c2)
         for (pw, w, c) in pending:
-            for (bp, tail), c2 in self._straighten(pw).items():
+            for (bp, tail), c2 in self._memo[pw].items():
                 add_term(out, SubWord(bp, tail * w), c * c2)
-        self._memo[pairs] = out
         return out
 
     def _swap(self, word: list[Pair], t: int, pending) -> None:
@@ -359,21 +352,20 @@ class SubAlgebra:
         if word.degree() > self.max_degree:
             raise DegreeBound("word degree %d exceeds bound %d" % (word.degree(), self.max_degree))
         out: dict[SubWord, CoeffPoly] = {}
-        for (bp, tail), c in self._straighten(word.pairs).items():
+        for (bp, tail), c in self._memo[word.pairs].items():
             add_term(out, SubWord(bp, tail * word.tail), c)
         return out
 
     def embed_word(self, word: SubWord) -> PBWElement:
-        cached = self._embed_cache.get(word)
-        if cached is None:
-            acc = one(self.ctx)
-            for (i, j) in word.pairs:
-                acc = acc * self.generator(i, j)
-            if not word.tail.is_identity():
-                acc = acc * group(self.ctx, word.tail)
-            cached = acc
-            self._embed_cache[word] = cached
-        return cached
+        return self._embed_cache[word]
+
+    def _embed(self, word: SubWord) -> PBWElement:
+        acc = one(self.ctx)
+        for (i, j) in word.pairs:
+            acc = acc * self.generator(i, j)
+        if not word.tail.is_identity():
+            acc = acc * group(self.ctx, word.tail)
+        return acc
 
 
 class SubElement(Combination):
@@ -559,7 +551,7 @@ def constraint_pairs(alg: SubAlgebra) -> list[Pair]:
             continue
         kept.append(pair)
         for w in alg.ctx.rs.group():
-            conj = alg._conj_one(w, pair)
+            conj = alg._conj[w, pair]
             rows.setdefault(conj, {p2: one * c for p2, c in conj})
     return kept
 

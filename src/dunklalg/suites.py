@@ -5,7 +5,8 @@ LHS - RHS)`` pairs over all admissible index tuples, where ``pr`` is its
 ``_Products`` memo. ``FAMILIES`` maps each reported name to its generator and
 to the generator (M_ij, E_ij or none) that the memo multiplies; ``family``
 runs one family with one fresh memo, counts its instances and keeps the
-canonical form of each nonzero difference as witness. ``SUITE_TABLE`` maps
+canonical form of each nonzero difference as witness. ``FAMILY_SUITES``
+lists the families of the suites made only of families. ``SUITE_TABLE`` maps
 each suite to its results(ctx, degree, mode), default degree and default
 mode (None where it takes none); ``run_suite``, ``SUITES`` and
 ``default_degree`` read it, and a degree or mode a suite does not take is
@@ -15,6 +16,7 @@ rejected. ``run_suite`` returns the untimed ``Report``; the CLI times it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 
 from .cherednik import (
@@ -42,7 +44,7 @@ from .cherednik import (
     zero,
     gamma_pm,
 )
-from .exactmath import in_span
+from .exactmath import Memo, in_span
 from .polyrep import DunklContext, restrict_check, verify_hamiltonian_identity
 from .reporting import CheckResult, Report
 from .subalgebra import (
@@ -61,27 +63,24 @@ class _Products:
     where G_ab = gen(ctx, a, b) is M_ab (so relations) or E_ab (gl)."""
 
     def __init__(self, ctx: CherednikContext, gen):
-        self.ctx = ctx
-        self.gen = gen
-        self._memo = {}
+        # a closure, not a bound method, so the memo holds no cycle back to
+        # self and a family's products are freed as soon as it ends
+        def product(key):
+            kind, a, b, c, d = key
+            left = s_elem(ctx, a, b) if kind == "sg" else gen(ctx, a, b)
+            right = s_elem(ctx, c, d) if kind == "gs" else gen(ctx, c, d)
+            return left * right
 
-    def _product(self, kind: str, a, b, c, d):
-        key = (kind, a, b, c, d)
-        v = self._memo.get(key)
-        if v is None:
-            left = s_elem(self.ctx, a, b) if kind == "sg" else self.gen(self.ctx, a, b)
-            right = s_elem(self.ctx, c, d) if kind == "gs" else self.gen(self.ctx, c, d)
-            v = self._memo[key] = left * right
-        return v
+        self._memo = Memo(product)
 
     def gg(self, a, b, c, d):
-        return self._product("gg", a, b, c, d)
+        return self._memo["gg", a, b, c, d]
 
     def gs(self, a, b, c, d):
-        return self._product("gs", a, b, c, d)
+        return self._memo["gs", a, b, c, d]
 
     def sg(self, a, b, c, d):
-        return self._product("sg", a, b, c, d)
+        return self._memo["sg", a, b, c, d]
 
     def com(self, a, b, c, d):
         return self.gg(a, b, c, d) - self.gg(c, d, a, b)
@@ -413,36 +412,35 @@ def family(name: str, ctx: CherednikContext) -> CheckResult:
     return result
 
 
-def _families(names, ctx: CherednikContext) -> list[CheckResult]:
-    return [family(name, ctx) for name in names]
+_CROSSING = ("cros-quant", "cros-cyc-2", "cros-cyc-3", "cros-anticomm", "cros-class")
+_COXETER = ("com-Mw", "amcoxcom", "amcoxcross", "m2-decomposition", "S-central")
+# family suite -> (its families at type A, its families elsewhere); com-ES
+# and relgln2 are stated with type-A pairings
+FAMILY_SUITES = {
+    "relations-so": (("com-ss", "com-sii", "ai", "com-sx", "Sjjai/Sjjaj", "com-MS", "son",
+                      "son-rev", "centrality-so"),
+                     ("amcoxcom", "amcoxcross", "com-Mw", "centrality-so")),
+    "crossing": (_CROSSING, _CROSSING),
+    "relations-gl": (("com-ES", "crosgl", "crosgl2", "relgln1", "relgln2", "herm-E",
+                      "rho-central"),
+                     ("crosgl", "crosgl2", "relgln1", "herm-E", "rho-central")),
+    "coxeter-general": (_COXETER, _COXETER),
+    "pfaffian": (("pfaffian",), ("pfaffian",)),
+}
 
 
-def relations_so(ctx: CherednikContext) -> list[CheckResult]:
-    if ctx.rs.is_type_a():
-        return _families(("com-ss", "com-sii", "ai", "com-sx", "Sjjai/Sjjaj", "com-MS",
-                          "son", "son-rev", "centrality-so"), ctx)
-    return _families(("amcoxcom", "amcoxcross", "com-Mw", "centrality-so"), ctx)
+def _families(suite: str, ctx: CherednikContext, skip=()) -> list[CheckResult]:
+    """Run the families of a family suite on ctx, except those in skip."""
+    names = FAMILY_SUITES[suite][0 if ctx.rs.is_type_a() else 1]
+    return [family(name, ctx) for name in names if name not in skip]
 
 
-def crossing_suite(ctx: CherednikContext) -> list[CheckResult]:
-    return _families(("cros-quant", "cros-cyc-2", "cros-cyc-3", "cros-anticomm",
-                      "cros-class"), ctx)
-
-
-def relations_gl(ctx: CherednikContext) -> list[CheckResult]:
-    # com-ES and relgln2 are stated with type-A pairings
-    if ctx.rs.is_type_a():
-        return _families(("com-ES", "crosgl", "crosgl2", "relgln1", "relgln2", "herm-E",
-                          "rho-central"), ctx)
-    return _families(("crosgl", "crosgl2", "relgln1", "herm-E", "rho-central"), ctx)
-
-
-def coxeter_general(ctx: CherednikContext) -> list[CheckResult]:
-    return _families(("com-Mw", "amcoxcom", "amcoxcross", "m2-decomposition", "S-central"), ctx)
-
-
-def pfaffian_suite(ctx: CherednikContext) -> list[CheckResult]:
-    return [family("pfaffian", ctx)]
+# the family suites as functions of ctx
+relations_so = partial(_families, "relations-so")
+crossing_suite = partial(_families, "crossing")
+relations_gl = partial(_families, "relations-gl")
+coxeter_general = partial(_families, "coxeter-general")
+pfaffian_suite = partial(_families, "pfaffian")
 
 
 def restriction_suite(ctx: CherednikContext, degree: int) -> list[CheckResult]:
@@ -467,9 +465,10 @@ def centre_suite(family: str, ctx: CherednikContext, degree: int,
 
     Expected dimension counts the powers of the central generator fitting in
     the degree bound (generator degree 2 for so, 1 for gl), up to the first
-    zero power (H_Omega is 0 at N = 1). Each power's normal form must lie in
-    the span of the solutions' term maps. ``solutions`` is the basis
-    ``centralizer(family, ctx, degree)`` returns, when the caller has it.
+    zero power (H_Omega is 0 at N = 1). Each power, a product and so in normal
+    form, must lie in the span of the solutions' term maps. ``solutions`` is
+    the basis ``centralizer(family, ctx, degree)`` returns, when the caller
+    has it.
     """
     if solutions is None:
         solutions = centralizer(family, ctx, degree)
@@ -489,7 +488,7 @@ def centre_suite(family: str, ctx: CherednikContext, degree: int,
     vectors = [s.terms for s in solutions]
     for k, power in enumerate(powers):
         r.instances += 1
-        if not in_span(vectors, power.normal_form().terms):
+        if not in_span(vectors, power.terms):
             r.record("power %d not in centralizer span" % k)
     return [r]
 
@@ -508,7 +507,12 @@ def _all(ctx: CherednikContext, degree: int, mode) -> list[CheckResult]:
         ("restriction", type_a and ctx.n >= 2), ("so3-example", type_a and ctx.n == 3),
         ("coxeter-general", True), ("hamiltonian", True), ("pfaffian", ctx.n % 2 == 0))
         if runs]
-    return [r for name in names for r in SUITE_TABLE[name][0](ctx, degree, mode)]
+    out: list[CheckResult] = []
+    for name in names:
+        # a family that two suites share runs once, at its first position
+        out += (_families(name, ctx, {r.name for r in out}) if name in FAMILY_SUITES
+                else SUITE_TABLE[name][0](ctx, degree, mode))
+    return out
 
 
 def _by_rank(ctx: CherednikContext, mode) -> int:

@@ -155,6 +155,9 @@ def test_exit_code_contract(capsys):
     assert code == 2
     code, _ = run(capsys, "normal-form", "x[9]", "--group", "A", "--rank", "3")
     assert code == 2
+    for group in ("A", "B"):
+        code, out = run(capsys, "normal-form", "s[1,1]", "--group", group, "--rank", "2")
+        assert (code, out) == (2, "")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -392,6 +395,9 @@ def test_suite_census(suite, group, rank):
     assert list(report.counts().items()) == counts
     assert list(report.params.items()) == list(params.items())
     assert report.status == "pass"
+    # a family that two suites share runs once
+    names = [r.name for r in report.results]
+    assert len(names) == len(set(names))
 
 
 def test_nonzero_residual_is_printed(capsys):

@@ -15,6 +15,7 @@ from dunklalg.exactmath import (
     CoeffPoly,
     ContextMismatch,
     LocPoly,
+    Memo,
     NotDivisible,
     XPoly,
     _div,
@@ -34,6 +35,7 @@ from dunklalg.exactmath import (
     sparse_rank_symbolic,
 )
 from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
+from dunklalg.suites import _Products
 
 
 def rand_coeffpoly(rng, nsym=1, deg=3):
@@ -113,6 +115,46 @@ def test_add_term_removes_a_cancelled_key_and_appends_it_again():
     add_term(acc, "a", g)
     add_term(acc, "b", g)
     assert list(acc.items()) == [("b", g * 2 + 1), ("a", g)]
+
+
+def test_memo_builds_each_key_once():
+    built = []
+
+    def build(key):
+        built.append(key)
+        return [key]
+
+    memo = Memo(build)
+    first = memo["a"]
+    assert memo["a"] is first and memo[1, 2] == [(1, 2)]
+    assert built == ["a", (1, 2)]
+    # get and in read without building
+    assert memo.get("b") is None and "b" not in memo and built == ["a", (1, 2)]
+
+
+def test_memo_build_that_finds_its_key_filled_loses():
+    # a racing thread (here the build itself) stored first: every caller
+    # gets the stored object, not the one this build made
+    stored = ["stored"]
+
+    def build(key):
+        memo[key] = stored
+        return ["built"]
+
+    memo = Memo(build)
+    assert memo["k"] is stored and memo == {"k": stored}
+
+
+def test_every_engine_memo_is_a_memo_and_a_dict():
+    # perfbench/tracing.py reads the fills of some of them with len()
+    ctx = CherednikContext(build_root_system("B", 2))
+    alg = get_subalgebra(ctx, "so")
+    memos = (ctx._s_terms, ctx._dix, ctx._dbx, ctx._tm, ctx.rs._act, alg._memo, alg._conj,
+             alg._embed_cache, _Products(ctx, angular_momentum_ij)._memo)
+    assert all(isinstance(m, Memo) and isinstance(m, dict) for m in memos)
+    angular_momentum_ij(ctx, 0, 1) * x_gen(ctx, 0)
+    alg.embed_word(SubWord(((0, 1),), ctx.e))
+    assert len(ctx._dbx) > 0 and len(alg._embed_cache) == 1
 
 
 def test_coeffpoly_is_false_only_at_zero():

@@ -173,3 +173,24 @@ def test_eval_errors():
         evaluate("s[9]", ctx)            # root index out of range
     with pytest.raises(EvalError):
         evaluate('w"-1,2,3"', ctx)       # sign flip is not in the type A group
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_transposition_needs_distinct_indices(family):
+    # at B2, s[1,1] used to give the reflection in e_1 (e_i - e_j built as e_i)
+    ctx = CherednikContext(build_root_system(family, 2))
+    for mode in ("cherednik", "so", "gl"):
+        with pytest.raises(EvalError, match="distinct"):
+            evaluate("s[1,1]", ctx, mode)
+
+
+def test_rejected_group_literal_interns_nothing():
+    ctx = ctx_a(3)
+    interned = len(ctx.rs._by_cols)
+    for text in ('w"1,1,2"', 'w"2,2,2"', 'w"1,-1,3"'):
+        with pytest.raises(EvalError):
+            evaluate(text, ctx)
+    assert len(ctx.rs._by_cols) == interned
+    # an accepted literal still interns, and -1 is kept although it lies outside W
+    assert evaluate('w"-1,-2,-3"', ctx) == evaluate('w"-1,-2,-3"', ctx)
+    assert len(ctx.rs._by_cols) == interned + 1

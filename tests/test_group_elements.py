@@ -261,7 +261,7 @@ def test_conj_one_embeds_to_the_conjugate_in_h_c(name, family):
     for w in ctx.rs.group():
         for pair in pairs:
             expansion = SubElement(alg)
-            for p2, c in alg._conj_one(w, pair):
+            for p2, c in alg._conj[w, pair]:
                 add_term(expansion.terms, SubWord((p2,), ctx.e), ctx.one * c)
             expected = group(ctx, w) * alg.generator(*pair) * group(ctx, w.inverse())
             assert expansion.embed() == expected
