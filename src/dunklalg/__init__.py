@@ -5,7 +5,8 @@ Modules:
               add_term/render_terms, which every linear-combination type
               uses to accumulate and to print its terms, and Combination,
               the one copy of their module arithmetic
-  coxeter     root systems, reflection groups, group-algebra pairings
+  coxeter     root systems, reflection groups, group-algebra pairings (as
+              term maps from group elements to coefficients)
   cherednik   PBW rewriting engine for the rational Cherednik algebra
   polyrep     faithful polynomial representation (the evaluation oracle)
   subalgebra  so/gl angular momenta subalgebras: bases, straightening, centre
@@ -30,7 +31,6 @@ from .cherednik import (
     rho,
 )
 from .coxeter import (
-    GroupAlgebraElement,
     GroupElement,
     MultiplicityMap,
     RootSystem,

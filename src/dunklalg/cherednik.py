@@ -8,14 +8,17 @@ coefficients. The generators obey
 
 and multiplication renormalizes products by commuting single D factors
 across single x factors, inserting group-algebra terms from the S pairing.
-The single-step products are memoized per context, and moving x^a or D^b
-across a group element uses the root system's memoized ``act_exp``. On top
-of these, each context memoizes the product template of (w1 D^b1)(x^a2 w2),
-so a product of two terms costs one exponent shift and one coefficient
-product per output term. The named elements (M_ij, E_kl, H_Omega, rho, the
-subalgebras, ...) are memoized per context by ``named``. Every memo is an
-exactmath.Memo, filled once with setdefault and never evicted (``named``
-stores the same way), so threads that race share the entry that won.
+One memo per context holds the normal form of D^b x^c (``db_x``): the entry
+for a single D_i follows D_i x^c = x_j (D_i x^(c-e_j)) + S_ij x^(c-e_j), and
+a longer D^b moves one D_i across the entries of D^(b-e_i) x^c. Moving x^a
+or D^b across a group element uses the root system's memoized ``act_exp``.
+On top of these, each context memoizes the product template of
+(w1 D^b1)(x^a2 w2), so a product of two terms costs one exponent shift and
+one coefficient product per output term. The named elements (M_ij, E_kl,
+H_Omega, rho, the subalgebras, ...) are memoized per context by ``named``.
+Every memo is an exactmath.Memo, filled once with setdefault and never
+evicted (``named`` stores the same way), so threads that race share the
+entry that won.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -61,7 +64,6 @@ class CherednikContext:
         self.zero_exp = (0,) * self.n
         self.one = CoeffPoly.one(self.nsym)
         self._s_terms = Memo(self._s_pair_terms)
-        self._dix = Memo(self._di_x)
         self._dbx = Memo(self._d_x)
         self._tm = Memo(self._template)
         self._named: dict = {}
@@ -81,25 +83,9 @@ class CherednikContext:
 
     def _s_pair_terms(self, key: tuple[int, int]):
         i, j = key
-        ga = s_pair([1 if k == i else 0 for k in range(self.n)],
-                    [1 if k == j else 0 for k in range(self.n)],
-                    self.rs, self.gmap)
-        return tuple(ga.terms.items())
-
-    def _di_x(self, key: tuple[int, tuple[int, ...]]):
-        """Normal form of D_i x^c, key (i, c): ((coef, xexp, w, trailing_D_i), ...)."""
-        i, c = key
-        if c == self.zero_exp:
-            return ((self.one, self.zero_exp, self.e, True),)
-        j = next(k for k, p in enumerate(c) if p)
-        c2 = _bump(c, j, -1)
-        out = []
-        for coef, a, w, flag in self._dix[i, c2]:
-            out.append((coef, _bump(a, j), w, flag))
-        for w, kappa in self.s_terms(i, j):
-            for f, a in self.rs.act_exp(w, c2):
-                out.append((kappa * f if f != 1 else kappa, a, w, False))
-        return tuple(out)
+        return tuple(s_pair([1 if k == i else 0 for k in range(self.n)],
+                            [1 if k == j else 0 for k in range(self.n)],
+                            self.rs, self.gmap).items())
 
     def db_x(self, b: tuple[int, ...], c: tuple[int, ...]):
         """Normal form of D^b x^c: ((coef, xexp, w, dexp), ...)."""
@@ -110,19 +96,31 @@ class CherednikContext:
     def _d_x(self, key: tuple[tuple[int, ...], tuple[int, ...]]):
         b, c = key
         i = next(k for k, p in enumerate(b) if p)
-        base = self.db_x(_bump(b, i, -1), c)
+        e_i = _bump(self.zero_exp, i)
         acc: dict[TermKey, CoeffPoly] = {}
-        for coef, alpha, u, beta in base:
-            for coef2, a2, u2, flag in self._dix[i, alpha]:
-                w = u2 * u
-                cc = coef * coef2
-                if flag:
-                    # the surviving D_i still has to cross u
-                    for f, db in self.rs.act_exp(u.inverse(), _bump(self.zero_exp, i)):
-                        bout = tuple(x + y for x, y in zip(db, beta))
-                        add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
-                else:
-                    add_term(acc, (a2, w, beta), cc)
+        if b == e_i:
+            # D_i x^c = x_j (D_i x^(c - e_j)) + S_ij x^(c - e_j)
+            if c == self.zero_exp:
+                return ((self.one, c, self.e, b),)
+            j = next(k for k, p in enumerate(c) if p)
+            c2 = _bump(c, j, -1)
+            for coef, a, w, d in self._dbx[b, c2]:
+                add_term(acc, (_bump(a, j), w, d), coef)
+            for w, kappa in self.s_terms(i, j):
+                for f, a in self.rs.act_exp(w, c2):
+                    add_term(acc, (a, w, self.zero_exp), kappa * f if f != 1 else kappa)
+        else:
+            for coef, alpha, u, beta in self.db_x(_bump(b, i, -1), c):
+                for coef2, a2, u2, d in self._dbx[e_i, alpha]:
+                    w = u2 * u
+                    cc = coef * coef2
+                    if d != self.zero_exp:
+                        # the surviving D_i still has to cross u
+                        for f, db in self.rs.act_exp(u.inverse(), d):
+                            bout = tuple(x + y for x, y in zip(db, beta))
+                            add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
+                    else:
+                        add_term(acc, (a2, w, beta), cc)
         return tuple((v, a, w, bb) for (a, w, bb), v in acc.items())
 
     def template(self, w1: GroupElement, b1: tuple[int, ...], a2: tuple[int, ...],
@@ -264,10 +262,8 @@ def s_elem(ctx: CherednikContext, i: int, j: int) -> PBWElement:
     return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ctx.s_terms(i, j)})
 
 def s_sum(ctx: CherednikContext) -> PBWElement:
-    def build():
-        ga = invariant_sum_S(ctx.rs, ctx.gmap)
-        return PBWElement(ctx, {(ctx.zero_exp, w, ctx.zero_exp): c for w, c in ga.terms.items()})
-    return ctx.named("s_sum", build)
+    return ctx.named("s_sum", lambda: PBWElement(ctx, {
+        (ctx.zero_exp, w, ctx.zero_exp): c for w, c in invariant_sum_S(ctx.rs, ctx.gmap).items()}))
 
 
 def commutator(p: PBWElement, q: PBWElement) -> PBWElement:

@@ -23,6 +23,9 @@ never evicted.
 
 The module also builds the group-algebra pairing S_{xi,eta} and the
 invariant sum S, which drive every deformed commutation relation upstream.
+Both are term maps {group element: CoeffPoly} with no zero coefficient; the
+algebras hold them as elements (cherednik's ``s_elem`` and ``s_sum``,
+tail-only subalgebra words) and multiply them there.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactmath import (CoeffPoly, Combination, Memo, add_term, format_rational, parse_rational,
-                        render_terms, sparse_nullspace)
+from .exactmath import (CoeffPoly, Memo, add_term, format_rational, parse_rational,
+                        sparse_nullspace)
 
 Vector = tuple[Fraction, ...]
 
@@ -119,12 +122,6 @@ class GroupElement:
 
     def apply(self, vec: Sequence[Fraction]) -> Vector:
         """Image of a vector: w(v) = sum_j v_j w(e_j)."""
-        if self.perm is not None:
-            out = [Fraction(0)] * self.n
-            for j, v in enumerate(vec):
-                if v:
-                    out[self.perm[j]] += self.signs[j] * v
-            return tuple(out)
         return _apply_cols(self.cols, vec)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
@@ -319,9 +316,8 @@ class RootSystem:
                 for exp, c in terms.items():
                     for k, v in enumerate(w.cols[j]):
                         if v:
-                            key2 = exp[:k] + (exp[k] + 1,) + exp[k + 1:]
-                            new[key2] = new.get(key2, 0) + c * v
-                terms = {e2: c for e2, c in new.items() if c}
+                            add_term(new, exp[:k] + (exp[k] + 1,) + exp[k + 1:], c * v)
+                terms = new
         return tuple((c, e2) for e2, c in terms.items())
 
     # -- validation -----------------------------------------------------------
@@ -492,73 +488,18 @@ class MultiplicityMap:
         return self.values[rs.orbit_of[root_index]]
 
 
-class GroupAlgebraElement(Combination):
-    """Finite CoeffPoly-linear combination of group elements."""
-
-    __slots__ = ("rs", "nsym")
-
-    def __init__(self, rs: RootSystem, nsym: int,
-                 terms: dict[GroupElement, CoeffPoly] | None = None):
-        self.rs = rs
-        self.nsym = nsym
-        self.terms = terms if terms is not None else {}
-
-    def _context(self) -> tuple:
-        return self.rs, self.nsym
-
-    def _unit(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement.unit(self.rs, self.nsym)
-
-    @staticmethod
-    def unit(rs: RootSystem, nsym: int) -> GroupAlgebraElement:
-        return GroupAlgebraElement(rs, nsym, {rs.identity: CoeffPoly.one(nsym)})
-
-    @staticmethod
-    def of(rs: RootSystem, w: GroupElement, coeff: CoeffPoly) -> GroupAlgebraElement:
-        if coeff.is_zero():
-            return GroupAlgebraElement(rs, coeff.nsym)
-        return GroupAlgebraElement(rs, coeff.nsym, {w: coeff})
-
-    def __mul__(self, other) -> GroupAlgebraElement:
-        if other.__class__ is not GroupAlgebraElement:
-            return super().__mul__(other)
-        self._check(other)
-        out: dict[GroupElement, CoeffPoly] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_term(out, w1 * w2, c1 * c2)
-        return GroupAlgebraElement(self.rs, self.nsym, out)
-
-    def conjugate(self, w: GroupElement) -> GroupAlgebraElement:
-        """w * self * w^{-1}."""
-        winv = w.inverse()
-        out = {}
-        for u, c in self.terms.items():
-            out[w * u * winv] = c
-        return GroupAlgebraElement(self.rs, self.nsym, out)
-
-    def render(self) -> str:
-        return render_terms((self.terms[w].render_atom(self.rs.symbols),
-                             "1" if w.is_identity() else w.render())
-                            for w in sorted(self.terms, key=GroupElement.sort_key))
-
-    def __repr__(self) -> str:
-        return "GroupAlgebraElement(%s)" % self.render()
-
-
-def s_pair(xi: Sequence, eta: Sequence, rs: RootSystem, g: MultiplicityMap) -> GroupAlgebraElement:
-    """The group-algebra pairing replacing the Euclidean metric:
+def s_pair(xi: Sequence, eta: Sequence, rs: RootSystem,
+           g: MultiplicityMap) -> dict[GroupElement, CoeffPoly]:
+    """The group-algebra pairing replacing the Euclidean metric, as a term map
+    (group element -> nonzero coefficient):
 
         S_{xi,eta} = (xi, eta) + sum_{alpha > 0} 2 g_alpha (alpha, xi)(alpha, eta)
                                                  / (alpha, alpha) * s_alpha
     """
     xi = _as_vector(xi)
     eta = _as_vector(eta)
-    nsym = g.nsym
     terms: dict[GroupElement, CoeffPoly] = {}
-    c0 = CoeffPoly.const(_dot(xi, eta), nsym)
-    if not c0.is_zero():
-        terms[rs.identity] = c0
+    add_term(terms, rs.identity, CoeffPoly.const(_dot(xi, eta), g.nsym))
     for i, alpha in enumerate(rs.positive_roots):
         axi = _dot(alpha, xi)
         if not axi:
@@ -567,12 +508,13 @@ def s_pair(xi: Sequence, eta: Sequence, rs: RootSystem, g: MultiplicityMap) -> G
         if not aeta:
             continue
         add_term(terms, rs.reflection(i), g.of_root(rs, i) * (2 * axi * aeta / _dot(alpha, alpha)))
-    return GroupAlgebraElement(rs, nsym, terms)
+    return terms
 
 
-def invariant_sum_S(rs: RootSystem, g: MultiplicityMap) -> GroupAlgebraElement:
-    """S = -sum_{alpha > 0} g_alpha s_alpha, central in the group algebra."""
+def invariant_sum_S(rs: RootSystem, g: MultiplicityMap) -> dict[GroupElement, CoeffPoly]:
+    """S = -sum_{alpha > 0} g_alpha s_alpha, central in the group algebra, as
+    a term map."""
     terms: dict[GroupElement, CoeffPoly] = {}
     for i in range(len(rs.positive_roots)):
         add_term(terms, rs.reflection(i), -g.of_root(rs, i))
-    return GroupAlgebraElement(rs, g.nsym, terms)
+    return terms

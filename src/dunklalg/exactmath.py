@@ -131,8 +131,9 @@ class Combination:
     coefficients, in the order add_term leaves them, over a context that the
     operands of one operation share.
 
-    The module arithmetic of PBWElement, SubElement, GroupAlgebraElement and
-    XPoly lives here once. A subclass keeps its context in its own slots and
+    The module arithmetic of PBWElement, SubElement and XPoly lives here
+    once; a bare term map (such as the group-algebra pairings coxeter
+    returns) accumulates through add_term alone. A subclass keeps its context in its own slots and
     supplies ``_context()``, the constructor arguments before ``terms`` (so
     ``cls(*context, terms)`` builds an element), ``_unit()``, and its own
     product in ``__mul__``, which hands an operand of any other type to

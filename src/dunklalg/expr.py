@@ -462,7 +462,7 @@ class SubEvaluator(Evaluator):
     def _named(self, name: str) -> SubElement:
         ctx = self.ctx
         if name == "Ssum":
-            return self._group_sum(invariant_sum_S(ctx.rs, ctx.gmap).terms.items())
+            return self._group_sum(invariant_sum_S(ctx.rs, ctx.gmap).items())
         if name == "HOmega" and self.family == "so":
             return h_omega_subelement(self.alg)
         if name == "Msq" and self.family == "so":

@@ -445,10 +445,9 @@ def h_omega_subelement(alg: SubAlgebra) -> SubElement:
     for i in range(ctx.n):
         for j in range(i + 1, ctx.n):
             add_term(terms, SubWord(((i, j), (i, j)), ctx.e), ctx.one * half)
-    ga = invariant_sum_S(ctx.rs, ctx.gmap)
-    shifted = ga * ga - ga.scaled(ctx.n - 2)
-    for w, c in shifted.terms.items():
-        add_term(terms, SubWord((), w), c * Fraction(1, 2))
+    S = SubElement(alg, {SubWord((), w): c for w, c in invariant_sum_S(ctx.rs, ctx.gmap).items()})
+    for word, c in (S * S - S.scaled(ctx.n - 2)).terms.items():
+        add_term(terms, word, c * Fraction(1, 2))
     return SubElement(alg, terms)
 
 
@@ -458,8 +457,7 @@ def rho_subelement(alg: SubAlgebra) -> SubElement:
     terms: dict[SubWord, CoeffPoly] = {}
     for i in range(ctx.n):
         add_term(terms, SubWord(((i, i),), ctx.e), ctx.one)
-    ga = invariant_sum_S(ctx.rs, ctx.gmap)
-    for w, c in ga.terms.items():
+    for w, c in invariant_sum_S(ctx.rs, ctx.gmap).items():
         add_term(terms, SubWord((), w), -c)
     return SubElement(alg, terms)
 

@@ -87,8 +87,8 @@ def test_scaled_roots_give_same_pairing():
     e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
     a = s_pair(e1, e2, plain, g1)
     b = s_pair(e1, e2, scaled, g2)
-    assert list(a.terms.values()) == list(b.terms.values())
-    assert [w.cols for w in a.terms] == [w.cols for w in b.terms]
+    assert list(a.values()) == list(b.values())
+    assert [w.cols for w in a] == [w.cols for w in b]
 
 
 def test_rotated_b2_relations_hold():

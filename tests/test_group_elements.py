@@ -18,8 +18,8 @@ from functools import partial
 
 import pytest
 
-from dunklalg.cherednik import CherednikContext, group
-from dunklalg.coxeter import GroupElement, MultiplicityMap, build_root_system, load_root_system, s_pair
+from dunklalg.cherednik import CherednikContext, group, s_elem
+from dunklalg.coxeter import GroupElement, build_root_system, load_root_system
 from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term
 from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
 
@@ -154,11 +154,11 @@ def test_group_algebra_render_orders_mixed_elements():
     # the identity of rotated B2 is a signed permutation and its reflections
     # are not: they print after it, ordered by their columns
     rs = rotated_b(2)
-    e = s_pair([1, 0], [1, 0], rs, MultiplicityMap.symbolic(rs))
-    assert e.render() == ("1 + 49/25*g1*w{-24/25,-7/25;-7/25,24/25}"
-                          " + 32/25*g2*w{-7/25,24/25;24/25,7/25}"
-                          " + 18/25*g2*w{7/25,-24/25;-24/25,-7/25}"
-                          " + 1/25*g1*w{24/25,7/25;7/25,-24/25}")
+    s11 = s_elem(CherednikContext(rs), 0, 0)
+    assert s11.canonical_str() == ("1 + 49/25*g1*w{-24/25,-7/25;-7/25,24/25}"
+                                   " + 32/25*g2*w{-7/25,24/25;24/25,7/25}"
+                                   " + 18/25*g2*w{7/25,-24/25;-24/25,-7/25}"
+                                   " + 1/25*g1*w{24/25,7/25;7/25,-24/25}")
     # sets that are all signed permutations, or all not, keep their order
     for rs in (build_root_system("B", 3), rs):
         for same in ([w for w in rs.group() if w.perm is not None],
