@@ -14,11 +14,15 @@ a row, a nullspace vector and a span test's vectors alike. numbered_rows
 numbers the keys of term maps as columns, and in_span tests membership in
 the span of term maps.
 
-A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``:
-values are ints when integral wherever they enter (constructors, scaling by
-a number, exact division, gcds, and products, sums and differences of
-single-term coupling polynomials), so the bulk of the products are int
-products, and every division goes through ``Fraction``.
+A rational coefficient is an ``int`` or a ``Fraction``, never a ``float``,
+and an integral coefficient of a CoeffPoly is always an ``int``, so the bulk
+of the products are int products; every division goes through ``Fraction``.
+
+Coupling polynomials are interned: each CoeffPoly value exists once per
+process, in a table filled with setdefault and never evicted, so equality
+of two CoeffPolys is identity and they hash by identity. Products, sums and
+differences of interned values are read from Memos keyed by the operand
+pair. No order that reaches the output is read from those identity hashes.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads. Every engine memo is a
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import Iterable, Sequence
 
@@ -299,21 +304,32 @@ class CoeffPoly:
     """Polynomial in the coupling symbols with rational coefficients.
 
     ``terms`` maps exponent tuples of length ``nsym`` to nonzero ``int`` or
-    ``Fraction`` values, never ``float``; division goes through ``Fraction``.
-    Values enter as ints when integral. A product, sum or difference of two
-    single-term polynomials takes a direct branch that builds the one or two
-    result entries without the general convolution, and its computed values
-    are ints when integral. On the general path a sum or product of two
-    Fractions may leave an integral Fraction, which compares, hashes and
-    renders as its int, so keys and output do not depend on the
-    representation. The zero polynomial has an empty term map.
+    ``Fraction`` values, never ``float``, and an integral value is always an
+    ``int``; division goes through ``Fraction``. The zero polynomial has an
+    empty term map.
+
+    Values are interned: ``CoeffPoly(nsym, terms)`` returns the one object
+    with that value, held in a table keyed by (nsym, frozenset of the terms)
+    and never evicted. The key is looked up first; only on a miss are the
+    terms canonicalised (zeros dropped, integral Fractions made ints) and the
+    new object stored with setdefault, so two threads that build one value
+    get one object. Equality of two CoeffPolys is therefore identity, and the
+    hash is the identity hash. A product, sum or difference with a CoeffPoly,
+    int or Fraction is read from a Memo keyed by the operand pair, so each is
+    computed once per process. Values are shared, so nothing may write into
+    a CoeffPoly's ``terms``.
     """
 
     __slots__ = ("nsym", "terms")
 
-    def __init__(self, nsym: int, terms: dict[tuple[int, ...], int | Fraction] | None = None):
-        self.nsym = nsym
-        self.terms = terms if terms is not None else {}
+    def __new__(cls, nsym: int, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        value = _VALUES.get((nsym, frozenset(terms.items() if terms else ())))
+        if value is None:
+            value = object.__new__(cls)
+            value.nsym = nsym
+            value.terms = _exact_terms(terms) if terms else {}
+            value = _VALUES.setdefault((nsym, frozenset(value.terms.items())), value)
+        return value
 
     # -- constructors -------------------------------------------------------
 
@@ -324,9 +340,7 @@ class CoeffPoly:
     @staticmethod
     def const(value, nsym: int) -> CoeffPoly:
         v = _exact_scalar(value)
-        if not v:
-            return CoeffPoly(nsym)
-        return CoeffPoly(nsym, {(0,) * nsym: v})
+        return CoeffPoly(nsym, {(0,) * nsym: v} if v else None)
 
     @staticmethod
     def one(nsym: int) -> CoeffPoly:
@@ -350,32 +364,17 @@ class CoeffPoly:
             return None
 
     # -- ring operations ----------------------------------------------------
-
-    def _monomials(self, other) -> tuple | None:
-        """(e1, v1, e2, v2) when self and other are both single terms."""
-        if other.__class__ is CoeffPoly and len(self.terms) == 1 == len(other.terms):
-            if other.nsym != self.nsym:
-                self._coerce(other)  # raises: mixed coupling contexts
-            (e1, v1), = self.terms.items()
-            (e2, v2), = other.terms.items()
-            return e1, v1, e2, v2
-        return None
+    #
+    # The memos _SUMS, _DIFFERENCES and _PRODUCTS take operand pairs whose
+    # second entry is a CoeffPoly, an int or a Fraction; another number is
+    # made exact first, and anything else is not a scalar (NotImplemented).
 
     def __add__(self, other) -> CoeffPoly:
-        mono = self._monomials(other)
-        if mono is not None:
-            e1, v1, e2, v2 = mono
-            if e1 != e2:
-                return CoeffPoly(self.nsym, {e1: v1, e2: v2})
-            v = v1 + v2
-            return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            add_term(out, e, c)
-        return CoeffPoly(self.nsym, out)
+        if other.__class__ not in _OPERANDS:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _SUMS[self, other]
 
     __radd__ = __add__
 
@@ -383,66 +382,32 @@ class CoeffPoly:
         return CoeffPoly(self.nsym, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> CoeffPoly:
-        mono = self._monomials(other)
-        if mono is not None:
-            e1, v1, e2, v2 = mono
-            if e1 != e2:
-                return CoeffPoly(self.nsym, {e1: v1, e2: -v2})
-            v = v1 - v2
-            return CoeffPoly(self.nsym, {e1: _exact_scalar(v)} if v else {})
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
+        if other.__class__ not in _OPERANDS:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _DIFFERENCES[self, other]
 
     def __rsub__(self, other) -> CoeffPoly:
         other = self._coerce(other)
         return NotImplemented if other is None else other - self
 
     def __mul__(self, other) -> CoeffPoly:
-        if not isinstance(other, CoeffPoly):
+        if other.__class__ not in _OPERANDS:
             try:
-                v = _exact_scalar(other)
+                other = _exact_scalar(other)
             except TypeError:
                 # not a scalar: an algebra element scales itself in __rmul__
                 return NotImplemented
-            return self._scaled(v)
-        mono = self._monomials(other)
-        if mono is not None:
-            e1, v1, e2, v2 = mono
-            if not any(e1):
-                if v1 == 1:
-                    return other
-                e = e2
-            elif not any(e2):
-                if v2 == 1:
-                    return self
-                e = e1
-            else:
-                e = tuple(map(add, e1, e2))
-            return CoeffPoly(self.nsym, {e: _exact_scalar(v1 * v2)})
-        other = self._coerce(other)
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(a.terms) == 1:
-            (e, v), = a.terms.items()
-            if not any(e):
-                return b._scaled(v)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return CoeffPoly(self.nsym, out)
-
-    def _scaled(self, v: int | Fraction) -> CoeffPoly:
-        """self * v for an exact scalar v; by 1 that is self itself, which is
-        immutable and so can be shared, and by -1 its negation."""
-        if v == 1:
-            return self
-        if v == -1:
-            return -self
-        if not v:
-            return CoeffPoly(self.nsym)
-        return CoeffPoly(self.nsym, _exact_terms({e: c * v for e, c in self.terms.items()}))
+        return _PRODUCTS[self, other]
 
     __rmul__ = __mul__
+
+    def _scaled(self, v: int | Fraction) -> CoeffPoly:
+        """self * v for an exact scalar v; by 1 that is self itself."""
+        if v == 1:
+            return self
+        return CoeffPoly(self.nsym, {e: c * v for e, c in self.terms.items()} if v else None)
 
     def __pow__(self, n: int) -> CoeffPoly:
         if n < 0:
@@ -453,21 +418,18 @@ class CoeffPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CoeffPoly):
+        if other.__class__ is not CoeffPoly:
             try:
                 other = CoeffPoly.const(other, self.nsym)
             except (TypeError, ValueError, OverflowError):
                 # not a scalar, or a float nan or infinity: never equal
                 return NotImplemented
-        return self.nsym == other.nsym and self.terms == other.terms
+        return self is other
 
-    __hash__ = None  # mutable payload; use key() when a hashable id is needed
+    __hash__ = object.__hash__
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def key(self) -> tuple:
-        return (self.nsym, tuple(sorted(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -550,6 +512,40 @@ class CoeffPoly:
 
     def __repr__(self) -> str:
         return "CoeffPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.nsym)))
+
+
+def _combine(step, pair: tuple[CoeffPoly, CoeffPoly | int | Fraction]) -> CoeffPoly:
+    """a + b with step add_term, a - b with step sub_term."""
+    a, b = pair
+    out = dict(a.terms)
+    for e, c in a._coerce(b).terms.items():
+        step(out, e, c)
+    return CoeffPoly(a.nsym, out)
+
+
+def _product(pair: tuple[CoeffPoly, CoeffPoly | int | Fraction]) -> CoeffPoly:
+    a, b = pair
+    if b.__class__ is not CoeffPoly:
+        return a._scaled(b)
+    b = a._coerce(b)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    if len(a.terms) == 1:
+        (e, v), = a.terms.items()
+        if not any(e):
+            return b._scaled(v)
+    out: dict[tuple[int, ...], int | Fraction] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            add_term(out, tuple(map(add, e1, e2)), c1 * c2)
+    return CoeffPoly(a.nsym, out)
+
+
+_VALUES: dict[tuple[int, frozenset], CoeffPoly] = {}
+_OPERANDS = (CoeffPoly, int, Fraction)
+_SUMS = Memo(partial(_combine, add_term))
+_DIFFERENCES = Memo(partial(_combine, sub_term))
+_PRODUCTS = Memo(_product)
 
 
 def coeff_gcd(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
@@ -800,9 +796,9 @@ def _coeff_polys(acc: dict[tuple[int, ...], dict], nsym: int) -> dict[tuple[int,
     """Raw coefficient maps to nonzero CoeffPoly terms, dropping zeros."""
     out = {}
     for e, t in acc.items():
-        t = _exact_terms(t)
-        if t:
-            out[e] = CoeffPoly(nsym, t)
+        c = CoeffPoly(nsym, t)
+        if c:
+            out[e] = c
     return out
 
 
@@ -1179,23 +1175,25 @@ def sparse_nullspace(rows: list[dict[int, CoeffPoly]], ncols: int, nsym: int
     """Nullspace basis over Q(g) of sparse rows on columns 0..ncols-1, as
     sparse vectors (column -> nonzero CoeffPoly).
 
-    Rows whose support shrinks to a single column force that variable to
-    zero; this pruning loop usually collapses most of the matrix. The exact
-    echelon then runs on the rows that the modular certificate finds
-    independent, and the basis is verified exactly against every other row;
-    for each basis vector some row violates, the first such row joins the
-    solved rows and the solve repeats. The solved vectors come by free
-    column, then the unit vector of each column no row touches.
+    Rows are term maps without zeros, and are never written: a row that
+    loses a forced column is copied. Rows whose support shrinks to a single
+    column force that variable to zero; this pruning loop usually collapses
+    most of the matrix. The exact echelon then runs on the rows that the
+    modular certificate finds independent, and the basis is verified exactly
+    against every other row; for each basis vector some row violates, the
+    first such row joins the solved rows and the solve repeats. The solved
+    vectors come by free column, then the unit vector of each column no row
+    touches.
     """
-    work = [{c: p for c, p in row.items() if p} for row in rows]
+    work = rows
     forced: set[int] = set()
     changed = True
     while changed:
         changed = False
         remaining = []
         for row in work:
-            for c in [c for c in row if c in forced]:
-                del row[c]
+            if not forced.isdisjoint(row):
+                row = {c: p for c, p in row.items() if c not in forced}
             if len(row) == 1:
                 forced.add(next(iter(row)))
                 changed = True

@@ -2,13 +2,14 @@
 
 import math
 import random
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from dunklalg import cherednik
+from dunklalg import cherednik, exactmath
 from dunklalg.cherednik import CherednikContext, angular_momentum_ij, d_gen, group, one, x_gen
 from dunklalg.coxeter import build_root_system
 from dunklalg.exactmath import (
@@ -150,11 +151,53 @@ def test_every_engine_memo_is_a_memo_and_a_dict():
     ctx = CherednikContext(build_root_system("B", 2))
     alg = get_subalgebra(ctx, "so")
     memos = (ctx._s_terms, ctx._dbx, ctx._tm, ctx.rs._act, alg._memo, alg._conj,
-             alg._embed_cache, _Products(ctx, angular_momentum_ij)._memo)
+             alg._embed_cache, _Products(ctx, angular_momentum_ij)._memo,
+             exactmath._SUMS, exactmath._DIFFERENCES, exactmath._PRODUCTS)
     assert all(isinstance(m, Memo) and isinstance(m, dict) for m in memos)
     angular_momentum_ij(ctx, 0, 1) * x_gen(ctx, 0)
     alg.embed_word(SubWord(((0, 1),), ctx.e))
     assert len(ctx._dbx) > 0 and len(alg._embed_cache) == 1
+
+
+def test_a_product_memo_hit_is_the_computed_value():
+    g, h = CoeffPoly.symbol(0, 2), CoeffPoly.symbol(1, 2)
+    p = g * Fraction(3, 7) + h - 5
+    q = g * g - h * Fraction(1, 2)
+    want: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            want[e] = want.get(e, 0) + c1 * c2
+    first = p * q
+    assert first.terms == want and (p, q) in exactmath._PRODUCTS
+    # the hit, and a build that bypasses the memo, give the one object
+    assert p * q is first is exactmath._PRODUCTS.build((p, q))
+    assert p + q is p + q is exactmath._SUMS.build((p, q))
+    assert p - q is exactmath._DIFFERENCES.build((p, q)) and (p - q) + q is p
+    assert p * 2 is exactmath._PRODUCTS.build((p, 2))
+    assert (p * 2).terms == {e: 2 * c for e, c in p.terms.items()}
+
+
+def test_concurrent_builders_get_one_object():
+    # four threads build the same new value and the same new product at
+    # once; the value table and the product memo each store one object
+    barrier = threading.Barrier(4)
+    out = [None] * 4
+
+    def build(i):
+        barrier.wait()
+        a = CoeffPoly(2, {(11, 3): Fraction(5, 13), (0, 17): -4})
+        b = CoeffPoly(2, {(7, 0): Fraction(2, 9), (0, 19): 3})
+        out[i] = (a, b, a * b)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for k in range(3):
+        assert all(o[k] is out[0][k] for o in out)
+    assert out[0][2] is exactmath._PRODUCTS[out[0][0], out[0][1]]
 
 
 def test_coeffpoly_is_false_only_at_zero():
@@ -326,7 +369,8 @@ def rank_at_specialization(rows, values):
 
 
 def sparse(rows):
-    return [dict(enumerate(row)) for row in rows]
+    """Dense rows as term maps: column -> nonzero entry."""
+    return [{c: p for c, p in enumerate(row) if p} for row in rows]
 
 
 def nullspace(rows):
@@ -411,12 +455,16 @@ def test_sparse_nullspace_pruning():
     g = CoeffPoly.symbol(0, 1)
     one = CoeffPoly.one(1)
     rows = [
-        {0: g},                 # forces col 0 to zero
-        {1: one, 2: -one},      # col1 = col2
+        {0: g},                         # forces col 0 to zero
+        {0: one, 1: one, 2: -one},      # then col1 = col2
+        {0: g, 4: g * g},               # then forces col 4 to zero
     ]
-    basis = sparse_nullspace(rows, 4, 1)
+    before = [dict(row) for row in rows]
+    basis = sparse_nullspace(rows, 5, 1)
     assert basis == [{1: one, 2: one}, {3: one}]   # and the unconstrained col 3
-    assert all(0 not in vec for vec in basis)
+    assert all(0 not in vec and 4 not in vec for vec in basis)
+    # pruning copies a row that loses a column; the caller's rows stay
+    assert rows == before
 
 
 P = 2 ** 61 - 1   # the modulus of the rank certificate
@@ -530,7 +578,7 @@ def test_planted_row_joins_the_solve_without_the_others(monkeypatch):
     assert len(basis) == ncols - 21
     for vec in basis:
         assert all(p.is_zero() for p in matrix_apply(rows, vec))
-    assert keys(basis) == keys(real(sparse(rows), range(ncols), 1))
+    assert basis == real(sparse(rows), range(ncols), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +704,13 @@ def reference_nullspace(rows, ncols, nsym):
     return reference_echelon_nullspace(sparse(rows), range(ncols), nsym)
 
 
-def keys(basis):
-    return [sorted((c, p.key()) for c, p in vec.items()) for vec in basis]
-
-
 def test_nullspace_matches_the_reference_on_random_one_symbol_rows():
     rng = random.Random(97)
     dims = set()
     for _ in range(60):
         rows, ncols = random_rows(rng, 1)
         basis = sparse_nullspace(sparse(rows), ncols, 1)
-        assert keys(by_free_column(basis)) == keys(reference_nullspace(rows, ncols, 1))
+        assert by_free_column(basis) == reference_nullspace(rows, ncols, 1)
         dims.add(len(basis))
     assert len(dims) > 2
 
@@ -708,7 +752,7 @@ def test_centralizer_kernels_match_the_reference(monkeypatch, family, group_type
     assert any(out for _, _, _, out in solves)
     for rows, cols, nsym, out in solves:
         want = reference_echelon_nullspace(rows, cols, nsym)
-        assert keys(out) == keys(want)
+        assert out == want
 
 
 def test_in_span_rejects_a_vector_outside():
@@ -896,9 +940,12 @@ def test_linear_kernels_leave_their_operand_alone():
                 if out is not None:
                     for c in out.terms.values():
                         exact_terms(c)
-                        assert all(c.terms is not d.terms for d in operand.terms.values())
             assert pr.div_linear(r) == p.mul_linear(forms[0])
             assert pr.div_linear(forms[0]) == p.mul_linear(r)
+    # values are shared, so a kernel that wrote into a result's or an
+    # operand's terms would leave a table entry that differs from its key
+    assert all(key == (v.nsym, frozenset(v.terms.items()))
+               for key, v in exactmath._VALUES.items())
 
 
 def _reference_reduce(roots, num, den):
@@ -1206,7 +1253,11 @@ def test_sparse_nullspace_of_integer_rows_gives_primitive_int_vectors():
 def test_int_and_fraction_values_are_interchangeable():
     two_f = CoeffPoly(1, {(0,): Fraction(2)})
     two_i = CoeffPoly(1, {(0,): 2})
-    assert two_f == two_i and two_f.key() == two_i.key()
+    assert two_f is two_i is CoeffPoly.const(2, 1) and type(two_f.terms[(0,)]) is int
+    # a value first built from an integral Fraction and a zero is stored canonical
+    fresh = CoeffPoly(3, {(9, 0, 1): Fraction(6, 3), (1, 1, 1): 0})
+    assert fresh.terms == {(9, 0, 1): 2} and type(fresh.terms[(9, 0, 1)]) is int
+    assert fresh is CoeffPoly(3, {(9, 0, 1): 2}) and fresh == 2 * CoeffPoly(3, {(9, 0, 1): 1})
     assert two_f.render(("g",)) == two_i.render(("g",)) == "2"
     made = CoeffPoly.const(Fraction(2), 1)
     assert made == two_i and type(made.terms[(0,)]) is int
@@ -1269,7 +1320,7 @@ def test_repeated_rows_leave_the_basis_unchanged(nsym):
         rows, ncols = random_rows(rng, nsym)
         once = sparse_nullspace(sparse(rows), ncols, nsym)
         twice = sparse_nullspace(sparse(rows + rows), ncols, nsym)
-        assert keys(twice) == keys(once)
+        assert twice == once
 
 
 def _reference_product(p, q):
