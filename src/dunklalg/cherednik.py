@@ -288,9 +288,16 @@ def angular_momentum(ctx: CherednikContext, xi: Sequence, eta: Sequence) -> PBWE
 
 
 def angular_momentum_ij(ctx: CherednikContext, i: int, j: int) -> PBWElement:
-    n = ctx.n
-    return ctx.named(("M", i, j), lambda: angular_momentum(
-        ctx, [1 if k == i else 0 for k in range(n)], [1 if k == j else 0 for k in range(n)]))
+    """M_ij = x_i D_j - x_j D_i, zero when i == j; its terms are in the order
+    angular_momentum gives them (lower x index first)."""
+    def build():
+        if i == j:
+            return PBWElement(ctx)
+        z = ctx.zero_exp
+        plus = ((_bump(z, i), ctx.e, _bump(z, j)), ctx.one)
+        minus = ((_bump(z, j), ctx.e, _bump(z, i)), -ctx.one)
+        return PBWElement(ctx, dict((plus, minus) if i < j else (minus, plus)))
+    return ctx.named(("M", i, j), build)
 
 
 def e_generator(ctx: CherednikContext, k: int, l: int) -> PBWElement:

@@ -8,13 +8,16 @@ element of W is determined by how it permutes the +-roots, because W fixes the
 orthogonal complement of the root span pointwise (the representation CHEVIE
 uses). Every element carries, from its creation on, an integer id (its hash),
 that permutation, its matrix columns ``cols`` and, for signed permutations,
-``perm``/``signs``. A product of two elements of W is a tuple composition and
-one dict lookup; the matrix of an element is computed once, when the element is
-first reached. Equality is identity. Root-system automorphisms that move the
-complement, such as -1 in type A, lie outside W; they are interned by their
-columns and multiplied as matrices. Interning goes through
-``dict.setdefault`` and no element has a mutable cache, so sharing elements
-across threads is safe.
+``perm``/``signs``. A product is read from the left factor's product Memo
+(at most |W| entries per element of W); its first build is, for two elements
+of W, a tuple composition and one dict lookup. The matrix of an element is
+computed once, when the element is first reached. Equality is identity.
+Root-system automorphisms that move the complement, such as -1 in type A,
+lie outside W; they are interned by their columns and multiplied as
+matrices. Interning and the product Memos go through ``dict.setdefault``, and
+the inverse and key slots are filled lazily with values that a racing thread
+computes equal (the same interned element, equal tuples and strings), so
+sharing elements across threads is safe.
 
 ``RootSystem.act_exp`` is the one action of W on monomials; cherednik,
 polyrep and exactmath's ``XPoly.map_monomials`` and ``LocPoly.act`` all go
@@ -81,11 +84,16 @@ class GroupElement:
     +-roots (``roots[k]`` is the index of w(root k) in the root system's
     signed-root list) when the element also fixes the complement of the root
     span, as every element of W does; it is None otherwise. ``perm``/``signs``
-    are set when the element is a signed permutation, enabling
-    monomial-to-monomial actions.
+    (``int`` signs) are set when the element is a signed permutation,
+    enabling monomial-to-monomial actions.
+
+    Everything else an element answers is a pure function of it, computed on
+    first use and then read back: its products from a Memo keyed by the
+    other factor, its inverse, and its image key, sort key and rendering,
+    built together into one slot.
     """
 
-    __slots__ = ("id", "rs", "roots", "cols", "perm", "signs")
+    __slots__ = ("id", "rs", "roots", "cols", "perm", "signs", "_products", "_inverse", "_keys")
 
     def __init__(self, rs: RootSystem, ident: int, cols: tuple[Vector, ...],
                  roots: tuple[int, ...] | None):
@@ -94,18 +102,21 @@ class GroupElement:
         self.roots = roots
         self.cols = cols
         perm: list[int] = []
-        signs: list[Fraction] = []
+        signs: list[int] = []
         ok = True
         for col in cols:
             nz = [(k, v) for k, v in enumerate(col) if v]
             if len(nz) == 1 and abs(nz[0][1]) == 1:
                 perm.append(nz[0][0])
-                signs.append(nz[0][1])
+                signs.append(int(nz[0][1]))
             else:
                 ok = False
                 break
         self.perm = tuple(perm) if ok else None
         self.signs = tuple(signs) if ok else None
+        self._products = Memo(self._compose)
+        self._inverse: GroupElement | None = None
+        self._keys: tuple[tuple, tuple, str] | None = None
 
     def __hash__(self) -> int:
         return self.id
@@ -126,6 +137,11 @@ class GroupElement:
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (self*other)(v) = self(other(v))."""
+        return self._products[other]
+
+    def _compose(self, other: GroupElement) -> GroupElement:
+        """self*other by composing root permutations, or by matrices when
+        either factor lies outside W."""
         if self.roots is None or other.roots is None:
             return self.rs.element(tuple(self.apply(col) for col in other.cols))
         roots = tuple(map(self.roots.__getitem__, other.roots))
@@ -135,32 +151,41 @@ class GroupElement:
         return w
 
     def inverse(self) -> GroupElement:
-        if self.roots is None:
-            return self.rs.element(_transpose(self.cols))
-        roots = tuple(sorted(range(len(self.roots)), key=self.roots.__getitem__))
-        w = self.rs._by_roots.get(roots)
+        w = self._inverse
         if w is None:
-            w = self.rs._intern(_transpose(self.cols), roots)
+            if self.roots is None:
+                w = self.rs.element(_transpose(self.cols))
+            else:
+                roots = tuple(sorted(range(len(self.roots)), key=self.roots.__getitem__))
+                w = self.rs._by_roots.get(roots)
+                if w is None:
+                    w = self.rs._intern(_transpose(self.cols), roots)
+            self._inverse = w
         return w
+
+    def _fill_keys(self) -> tuple[tuple, tuple, str]:
+        """(image key, sort key, rendering), stored on first use. A thread
+        that races another here stores an equal tuple."""
+        if self.perm is not None:
+            image = tuple(s * (p + 1) for s, p in zip(self.signs, self.perm))
+            keys = (image, (0, image), "w(%s)" % ",".join(map(str, image)))
+        else:
+            keys = (self.cols, (1, tuple(v for col in self.cols for v in col)),
+                    "w{%s}" % ";".join(",".join(map(format_rational, col)) for col in self.cols))
+        self._keys = keys
+        return keys
 
     def image_key(self) -> tuple:
         """Compact serialization key: signed indices for signed permutations."""
-        if self.perm is not None:
-            return tuple(int(self.signs[j]) * (self.perm[j] + 1) for j in range(self.n))
-        return self.cols
+        return (self._keys or self._fill_keys())[0]
 
     def sort_key(self) -> tuple:
         """Printing order: signed permutations first, by their signed
         images, then every other element by its columns."""
-        if self.perm is not None:
-            return (0, self.image_key())
-        return (1, tuple(v for col in self.cols for v in col))
+        return (self._keys or self._fill_keys())[1]
 
     def render(self) -> str:
-        if self.perm is not None:
-            return "w(%s)" % ",".join(str(k) for k in self.image_key())
-        cols = ";".join(",".join(format_rational(v) for v in col) for col in self.cols)
-        return "w{%s}" % cols
+        return (self._keys or self._fill_keys())[2]
 
     def __repr__(self) -> str:
         return self.render()

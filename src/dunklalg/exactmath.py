@@ -22,7 +22,8 @@ Coupling polynomials are interned: each CoeffPoly value exists once per
 process, in a table filled with setdefault and never evicted, so equality
 of two CoeffPolys is identity and they hash by identity. Products, sums and
 differences of interned values are read from Memos keyed by the operand
-pair. No order that reaches the output is read from those identity hashes.
+pair, and so is the text of a value, keyed by the value and the symbol
+names. No order that reaches the output is read from those identity hashes.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads. Every engine memo is a
@@ -316,8 +317,9 @@ class CoeffPoly:
     get one object. Equality of two CoeffPolys is therefore identity, and the
     hash is the identity hash. A product, sum or difference with a CoeffPoly,
     int or Fraction is read from a Memo keyed by the operand pair, so each is
-    computed once per process. Values are shared, so nothing may write into
-    a CoeffPoly's ``terms``.
+    computed once per process; ``render`` and ``render_atom`` read Memos
+    keyed by (value, symbol names). Values are shared, so nothing may write
+    into a CoeffPoly's ``terms``.
     """
 
     __slots__ = ("nsym", "terms")
@@ -379,7 +381,7 @@ class CoeffPoly:
     __radd__ = __add__
 
     def __neg__(self) -> CoeffPoly:
-        return CoeffPoly(self.nsym, {e: -c for e, c in self.terms.items()})
+        return _PRODUCTS[self, -1]
 
     def __sub__(self, other) -> CoeffPoly:
         if other.__class__ not in _OPERANDS:
@@ -500,15 +502,11 @@ class CoeffPoly:
     # -- rendering ----------------------------------------------------------
 
     def render(self, names: Sequence[str]) -> str:
-        return render_terms((format_rational(self.terms[e]), render_monomial(e, names) or "1")
-                            for e in sorted(self.terms, key=grevlex_key, reverse=True))
+        return _RENDERED[self, tuple(names)]
 
     def render_atom(self, names: Sequence[str]) -> str:
         """Render for use as a multiplicative prefix (parenthesized if a sum)."""
-        s = self.render(names)
-        if len(self.terms) > 1:
-            return "(" + s + ")"
-        return s
+        return _ATOMS[self, tuple(names)]
 
     def __repr__(self) -> str:
         return "CoeffPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.nsym)))
@@ -541,11 +539,25 @@ def _product(pair: tuple[CoeffPoly, CoeffPoly | int | Fraction]) -> CoeffPoly:
     return CoeffPoly(a.nsym, out)
 
 
+def _render(key: tuple[CoeffPoly, tuple[str, ...]]) -> str:
+    p, names = key
+    return render_terms((format_rational(p.terms[e]), render_monomial(e, names) or "1")
+                        for e in sorted(p.terms, key=grevlex_key, reverse=True))
+
+
+def _render_atom(key: tuple[CoeffPoly, tuple[str, ...]]) -> str:
+    s = _RENDERED[key]
+    return "(" + s + ")" if len(key[0].terms) > 1 else s
+
+
 _VALUES: dict[tuple[int, frozenset], CoeffPoly] = {}
 _OPERANDS = (CoeffPoly, int, Fraction)
 _SUMS = Memo(partial(_combine, add_term))
 _DIFFERENCES = Memo(partial(_combine, sub_term))
 _PRODUCTS = Memo(_product)
+# text per (value, symbol names), one entry per value rendered
+_RENDERED = Memo(_render)
+_ATOMS = Memo(_render_atom)
 
 
 def coeff_gcd(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:

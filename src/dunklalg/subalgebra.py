@@ -163,7 +163,8 @@ def count_chain_multisets(n: int, d: int) -> int:
 
 class SubAlgebra:
     """Rewriting context for one family over one Cherednik context. Its
-    straightening, conjugation and embedding memos are exactmath.Memos."""
+    straightening, conjugation, embedding and word-text memos are
+    exactmath.Memos."""
 
     def __init__(self, ctx: CherednikContext, family: str, max_degree: int = 12):
         if family not in ("so", "gl"):
@@ -177,6 +178,8 @@ class SubAlgebra:
         self._memo = Memo(self._straighten)
         self._embed_cache = Memo(self._embed)
         self._conj = Memo(self._conj_one)
+        # (sort key, text) per word rendered
+        self._word_text = Memo(lambda word: (word.sort_key(), word.render(family)))
 
     # -- generator-level data --------------------------------------------------
 
@@ -422,8 +425,10 @@ class SubElement(Combination):
 
     def render(self) -> str:
         names = self.alg.ctx.rs.symbols
-        return render_terms((self.terms[word].render_atom(names), word.render(self.alg.family))
-                            for word in sorted(self.terms, key=SubWord.sort_key))
+        text = self.alg._word_text
+        entries = sorted(((text[word], c) for word, c in self.terms.items()),
+                         key=lambda entry: entry[0][0])
+        return render_terms((c.render_atom(names), body) for (_, body), c in entries)
 
     def __repr__(self) -> str:
         return "SubElement(%s)" % self.render()

@@ -124,6 +124,20 @@ def test_angular_momentum_antisymmetry_bilinearity():
     assert angular_momentum(ctx, xi, eta) == -angular_momentum(ctx, eta, xi)
 
 
+@pytest.mark.parametrize("family,n", [("A", 3), ("A", 4), ("B", 3)])
+def test_angular_momentum_ij_is_angular_momentum_of_unit_vectors(family, n):
+    # M_ij is built from its two terms; angular_momentum, the general-vector
+    # path, is the oracle, also for the order of the terms
+    ctx = CherednikContext(build_root_system(family, n))
+    for i in range(n):
+        for j in range(n):
+            unit = [[int(k == t) for k in range(n)] for t in (i, j)]
+            want = angular_momentum(ctx, *unit)
+            got = angular_momentum_ij(ctx, i, j)
+            assert got == want and list(got.terms) == list(want.terms)
+            assert got.is_zero() == (i == j)
+
+
 def test_angular_momentum_equivariance():
     ctx = ctx_b(2)
     for w in ctx.rs.group():

@@ -63,10 +63,14 @@ def test_golden(capsys, name, argv):
                               "--degree", "2", "--format", "json"]),
     ("verify_relso_b2.json", ["verify", "relations-so", "--group", "B", "--rank", "2",
                               "--format", "json"]),
+    ("nf_m13m24_so.txt", ["normal-form", "M[1,3]*M[2,4]", "--group", "A", "--rank", "4",
+                          "--mode", "so"]),
+    ("nf_d1x1_a1.txt", ["normal-form", "D[1]*x[1]", "--group", "A", "--rank", "2"]),
 ])
 def test_golden_does_not_depend_on_the_hash_seed(name, argv):
     # interned coefficients hash by address, which differs from process to
-    # process; no output may follow an order read from such hashes
+    # process; no output may follow an order read from such hashes, nor
+    # from the text memos keyed by them (so-mode render, canonical_str)
     for seed in ("1", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))

@@ -151,12 +151,16 @@ def test_every_engine_memo_is_a_memo_and_a_dict():
     ctx = CherednikContext(build_root_system("B", 2))
     alg = get_subalgebra(ctx, "so")
     memos = (ctx._s_terms, ctx._dbx, ctx._tm, ctx.rs._act, alg._memo, alg._conj,
-             alg._embed_cache, _Products(ctx, angular_momentum_ij)._memo,
-             exactmath._SUMS, exactmath._DIFFERENCES, exactmath._PRODUCTS)
+             alg._embed_cache, alg._word_text, _Products(ctx, angular_momentum_ij)._memo,
+             exactmath._SUMS, exactmath._DIFFERENCES, exactmath._PRODUCTS,
+             exactmath._RENDERED, exactmath._ATOMS)
+    memos += tuple(w._products for w in ctx.rs.group())
     assert all(isinstance(m, Memo) and isinstance(m, dict) for m in memos)
     angular_momentum_ij(ctx, 0, 1) * x_gen(ctx, 0)
     alg.embed_word(SubWord(((0, 1),), ctx.e))
     assert len(ctx._dbx) > 0 and len(alg._embed_cache) == 1
+    SubElement.of(alg, SubWord(((0, 1),), ctx.e), ctx.gmap.of_orbit(1) - 1).render()
+    assert len(alg._word_text) == 1 and (ctx.gmap.of_orbit(1) - 1, ctx.rs.symbols) in exactmath._ATOMS
 
 
 def test_a_product_memo_hit_is_the_computed_value():
@@ -176,6 +180,9 @@ def test_a_product_memo_hit_is_the_computed_value():
     assert p - q is exactmath._DIFFERENCES.build((p, q)) and (p - q) + q is p
     assert p * 2 is exactmath._PRODUCTS.build((p, 2))
     assert (p * 2).terms == {e: 2 * c for e, c in p.terms.items()}
+    # negation is the product by -1, read from the same memo
+    assert -p is exactmath._PRODUCTS[p, -1] and (-p).terms == {e: -c for e, c in p.terms.items()}
+    assert -(-p) is p and -CoeffPoly.zero(2) is CoeffPoly.zero(2)
 
 
 def test_concurrent_builders_get_one_object():

@@ -19,8 +19,8 @@ from functools import partial
 import pytest
 
 from dunklalg.cherednik import CherednikContext, group, s_elem
-from dunklalg.coxeter import GroupElement, build_root_system, load_root_system
-from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term
+from dunklalg.coxeter import GroupElement, _apply_cols, build_root_system, load_root_system
+from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term, format_rational
 from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
 
 ROT = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))  # columns
@@ -101,6 +101,99 @@ def test_products_are_interned(name):
             assert id(a * b) in members
         assert id(a.inverse()) in members
     assert rs.element(grp[-1].cols) is grp[-1]
+
+
+# -- keys, products and inverses read back from each element's tables ----------
+
+def oracle_keys(w):
+    """image_key, sort_key and render restated from the columns alone: a
+    signed permutation is keyed and printed by its signed images, any other
+    element by its columns."""
+    nonzero = [[(k, v) for k, v in enumerate(col) if v] for col in w.cols]
+    if all(len(nz) == 1 and abs(nz[0][1]) == 1 for nz in nonzero):
+        image = tuple(int(nz[0][1]) * (nz[0][0] + 1) for nz in nonzero)
+        return image, (0, image), "w(%s)" % ",".join(str(k) for k in image)
+    return (w.cols, (1, tuple(v for col in w.cols for v in col)),
+            "w{%s}" % ";".join(",".join(format_rational(v) for v in col) for col in w.cols))
+
+
+CACHED = {"A4": lambda: build_root_system("A", 4), "B3": SYSTEMS["B3"],
+          "B2-rotated": SYSTEMS["B2-rotated"], "B3-rotated": SYSTEMS["B3-rotated"]}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_cached_keys_match_their_formulas(name):
+    rs = CACHED[name]()
+    grp = rs.group()
+    # enumerating W fills no key slot; each element fills it on first use,
+    # from whichever of the three keys is asked first
+    assert all(w._keys is None for w in grp)
+    for k, w in enumerate(grp):
+        want = oracle_keys(w)
+        asked = [w.image_key, w.sort_key, w.render][k % 3]()
+        assert asked == want[k % 3]
+        assert (w.image_key(), w.sort_key(), w.render()) == want
+        assert w.render() is w.render() and repr(w) == want[2]
+        assert w.signs is None or all(type(s) is int for s in w.signs)
+    assert any(w.perm is None for w in grp) == name.endswith("rotated")
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_cached_products_compose_columns(name):
+    rs = CACHED[name]()
+    grp = rs.group()
+    for a in grp:
+        for b in grp:
+            prod = a * b
+            assert prod.cols == tuple(_apply_cols(a.cols, col) for col in b.cols)
+            assert a._products[b] is prod and a * b is prod
+        assert a * a.inverse() is rs.identity and a.inverse() is a.inverse()
+        assert len(a._products) == len(grp)
+
+
+def test_four_threads_fill_products_and_keys_alike():
+    # four threads build every product, inverse and key of one fresh root
+    # system at once, each in its own order; they must get one object per
+    # element and product, and equal keys and strings
+    rs = rotated_b(3)
+    gens = rs.reflections()
+    barrier = threading.Barrier(4)
+    out = [None] * 4
+
+    def work(t):
+        barrier.wait()
+        seen = {rs.identity.cols: rs.identity}
+        frontier = [rs.identity]
+        while frontier:
+            frontier = [w * s for w in frontier for s in gens]
+            frontier = [seen.setdefault(w.cols, w) for w in frontier if w.cols not in seen]
+        elems = [seen[cols] for cols in sorted(seen)]
+        order = list(range(len(elems)))
+        order = order[12 * t:] + order[:12 * t]
+        products = {(i, j): elems[i] * elems[j] for i in order for j in order}
+        keys = {i: (elems[i].image_key(), elems[i].sort_key(), elems[i].render(),
+                    elems[i].inverse()) for i in order}
+        out[t] = (elems, products, keys)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and None not in out
+    elems, products, keys = out[0]
+    assert len(elems) == 48
+    for other_elems, other_products, other_keys in out[1:]:
+        assert all(a is b for a, b in zip(elems, other_elems))
+        assert all(other_products[ij] is w for ij, w in products.items())
+        assert all(other_keys[i][3] is keys[i][3] and other_keys[i][:3] == keys[i][:3]
+                   for i in keys)
+    assert all(keys[i][:3] == oracle_keys(w) for i, w in enumerate(elems))
 
 
 def test_automorphism_outside_w_is_not_confused_with_w():
