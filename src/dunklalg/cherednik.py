@@ -274,17 +274,29 @@ def anticommutator(p: PBWElement, q: PBWElement) -> PBWElement:
 
 
 def angular_momentum(ctx: CherednikContext, xi: Sequence, eta: Sequence) -> PBWElement:
-    """M_{xi,eta} = (x,xi) D_eta - (x,eta) D_xi, already in normal form."""
-    xi = tuple(Fraction(v) for v in xi)
-    eta = tuple(Fraction(v) for v in eta)
+    """M_{xi,eta} = (x,xi) D_eta - (x,eta) D_xi, already in normal form.
+
+    The term x_i D_j has coefficient xi_i eta_j - eta_i xi_j, which vanishes
+    unless xi or eta is nonzero at both i and j, so only that support is
+    visited, i then j in increasing order."""
+    xi = [_rational(v) for v in xi]
+    eta = [_rational(v) for v in eta]
+    support = [k for k in range(len(xi)) if xi[k] or eta[k]]
+    z = ctx.zero_exp
     terms: dict[TermKey, CoeffPoly] = {}
-    for i, a in enumerate(xi):
-        for j, b in enumerate(eta):
-            c = a * b - (eta[i] * xi[j])
+    for i in support:
+        a, b = xi[i], eta[i]
+        for j in support:
+            c = a * eta[j] - b * xi[j]
             if c:
-                add_term(terms, (_bump(ctx.zero_exp, i), ctx.e, _bump(ctx.zero_exp, j)),
-                         CoeffPoly.const(c, ctx.nsym))
+                terms[_bump(z, i), ctx.e, _bump(z, j)] = CoeffPoly.const(c, ctx.nsym)
     return PBWElement(ctx, terms)
+
+
+def _rational(v) -> int | Fraction:
+    """A coordinate as an exact value: an int when integral, else a Fraction."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def angular_momentum_ij(ctx: CherednikContext, i: int, j: int) -> PBWElement:

@@ -6,18 +6,20 @@ with the orbit structure that labels the coupling symbols.
 Each group element is created once per root system and never changes. An
 element of W is determined by how it permutes the +-roots, because W fixes the
 orthogonal complement of the root span pointwise (the representation CHEVIE
-uses). Every element carries, from its creation on, an integer id (its hash),
-that permutation, its matrix columns ``cols`` and, for signed permutations,
-``perm``/``signs``. A product is read from the left factor's product Memo
-(at most |W| entries per element of W); its first build is, for two elements
-of W, a tuple composition and one dict lookup. The matrix of an element is
-computed once, when the element is first reached. Equality is identity.
-Root-system automorphisms that move the complement, such as -1 in type A,
-lie outside W; they are interned by their columns and multiplied as
-matrices. Interning and the product Memos go through ``dict.setdefault``, and
-the inverse and key slots are filled lazily with values that a racing thread
-computes equal (the same interned element, equal tuples and strings), so
-sharing elements across threads is safe.
+uses). Every element carries, from its creation on, that permutation, its
+matrix columns ``cols`` and, for signed permutations, ``perm``/``signs``.
+Equality is identity, so an element hashes by its address, natively, as an
+interned coefficient does; no order that reaches the output is read from
+those hashes. A product is read from the left factor's product Memo (at most
+|W| entries per element of W); its first build is, for two elements of W, a
+tuple composition and one dict lookup. The matrix of an element is computed
+once, when the element is first reached. Root-system automorphisms that
+move the complement, such as -1 in type A, lie outside W; they are interned
+by their columns and multiplied as matrices. Interning and the product Memos
+go through ``dict.setdefault``, and the inverse and key slots are filled
+lazily with values that a racing thread computes equal (the same interned
+element, equal tuples and strings), so sharing elements across threads is
+safe.
 
 ``RootSystem.act_exp`` is the one action of W on monomials; cherednik,
 polyrep and exactmath's ``XPoly.map_monomials`` and ``LocPoly.act`` all go
@@ -33,7 +35,6 @@ tail-only subalgebra words) and multiply them there.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +86,8 @@ class GroupElement:
     signed-root list) when the element also fixes the complement of the root
     span, as every element of W does; it is None otherwise. ``perm``/``signs``
     (``int`` signs) are set when the element is a signed permutation,
-    enabling monomial-to-monomial actions.
+    enabling monomial-to-monomial actions. Elements are interned, so equality
+    is identity and the hash is the native identity hash.
 
     Everything else an element answers is a pure function of it, computed on
     first use and then read back: its products from a Memo keyed by the
@@ -93,11 +95,9 @@ class GroupElement:
     built together into one slot.
     """
 
-    __slots__ = ("id", "rs", "roots", "cols", "perm", "signs", "_products", "_inverse", "_keys")
+    __slots__ = ("rs", "roots", "cols", "perm", "signs", "_products", "_inverse", "_keys")
 
-    def __init__(self, rs: RootSystem, ident: int, cols: tuple[Vector, ...],
-                 roots: tuple[int, ...] | None):
-        self.id = ident
+    def __init__(self, rs: RootSystem, cols: tuple[Vector, ...], roots: tuple[int, ...] | None):
         self.rs = rs
         self.roots = roots
         self.cols = cols
@@ -118,11 +118,10 @@ class GroupElement:
         self._inverse: GroupElement | None = None
         self._keys: tuple[tuple, tuple, str] | None = None
 
-    def __hash__(self) -> int:
-        return self.id
-
     def __eq__(self, other) -> bool:
         return self is other
+
+    __hash__ = object.__hash__
 
     @property
     def n(self) -> int:
@@ -214,7 +213,6 @@ class RootSystem:
         rows = [{k: CoeffPoly.const(c, 0) for k, c in enumerate(r) if c} for r in self.positive_roots]
         self._complement = tuple(tuple(vec[k].substitute(()) if k in vec else 0 for k in range(rank))
                                  for vec in sparse_nullspace(rows, rank, 0))
-        self._ids = itertools.count()
         self._by_roots: dict[tuple[int, ...], GroupElement] = {}
         self._by_cols: dict[tuple[Vector, ...], GroupElement] = {}
         self._group: tuple[GroupElement, ...] | None = None
@@ -232,7 +230,7 @@ class RootSystem:
         """The one element with these columns. An element that fixes the
         complement of the root span is keyed by ``roots``, anything else by
         ``cols``; setdefault makes a racing creator get the element that won."""
-        w = GroupElement(self, next(self._ids), cols, roots)
+        w = GroupElement(self, cols, roots)
         if roots is not None:
             w = self._by_roots.setdefault(roots, w)
         return self._by_cols.setdefault(cols, w)

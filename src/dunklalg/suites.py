@@ -4,8 +4,10 @@ Each relation family is a generator ``_name(ctx, pr)`` of ``(instance,
 LHS - RHS)`` pairs over all admissible index tuples, where ``pr`` is its
 ``_Products`` memo. ``FAMILIES`` maps each reported name to its generator and
 to the generator (M_ij, E_ij or none) that the memo multiplies; ``family``
-runs one family with one fresh memo, counts its instances and keeps the
-canonical form of each nonzero difference as witness. ``FAMILY_SUITES``
+runs one family, counts its instances and keeps the canonical form of each
+nonzero difference as witness. A family run alone gets a fresh memo; a
+family suite gives one memo per generator to all its families, so a product
+they share is built once, and drops it when it returns. ``FAMILY_SUITES``
 lists the families of the suites made only of families. ``SUITE_TABLE`` maps
 each suite to its results(ctx, degree, mode), default degree and default
 mode (None where it takes none); ``run_suite``, ``SUITES`` and
@@ -59,12 +61,13 @@ from .subalgebra import (
 
 
 class _Products:
-    """Per-run cache of the normal forms G_ab G_cd, G_ab S_cd and S_ab G_cd,
-    where G_ab = gen(ctx, a, b) is M_ab (so relations) or E_ab (gl)."""
+    """Cache of the normal forms G_ab G_cd, G_ab S_cd and S_ab G_cd, where
+    G_ab = gen(ctx, a, b) is M_ab (so relations) or E_ab (gl), for one
+    family run or one family suite: at most 3 n^4 products."""
 
     def __init__(self, ctx: CherednikContext, gen):
         # a closure, not a bound method, so the memo holds no cycle back to
-        # self and a family's products are freed as soon as it ends
+        # self and its products are freed as soon as its run ends
         def product(key):
             kind, a, b, c, d = key
             left = s_elem(ctx, a, b) if kind == "sg" else gen(ctx, a, b)
@@ -401,11 +404,12 @@ FAMILIES = {
 }
 
 
-def family(name: str, ctx: CherednikContext) -> CheckResult:
-    """Run one relation family with its own product memo."""
+def family(name: str, ctx: CherednikContext, pr: _Products | None = None) -> CheckResult:
+    """Run one relation family on the product memo pr of its generator, a
+    fresh one when pr is None."""
     pairs, gen = FAMILIES[name]
     result = CheckResult(name)
-    for instance, diff in pairs(ctx, _Products(ctx, gen)):
+    for instance, diff in pairs(ctx, _Products(ctx, gen) if pr is None else pr):
         result.instances += 1
         if not diff.is_zero():
             result.record(instance, diff.canonical_str())
@@ -430,9 +434,11 @@ FAMILY_SUITES = {
 
 
 def _families(suite: str, ctx: CherednikContext, skip=()) -> list[CheckResult]:
-    """Run the families of a family suite on ctx, except those in skip."""
+    """Run the families of a family suite on ctx, except those in skip; the
+    families of one generator share its product memo."""
+    memos = Memo(partial(_Products, ctx))
     names = FAMILY_SUITES[suite][0 if ctx.rs.is_type_a() else 1]
-    return [family(name, ctx) for name in names if name not in skip]
+    return [family(name, ctx, memos[FAMILIES[name][1]]) for name in names if name not in skip]
 
 
 # the family suites as functions of ctx

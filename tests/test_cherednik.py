@@ -13,6 +13,7 @@ from dunklalg.cherednik import (
     OddRank,
     PBWElement,
     WrongRootSystem,
+    _bump,
     adjoint,
     angular_hamiltonian,
     angular_momentum,
@@ -145,6 +146,42 @@ def test_angular_momentum_equivariance():
         rhs = angular_momentum(ctx, w.apply((Fraction(1), Fraction(0))),
                                w.apply((Fraction(0), Fraction(1)))) * group(ctx, w)
         assert lhs == rhs
+
+
+def _angular_momentum_full_loop(ctx, xi, eta):
+    # the n^2 Fraction loop angular_momentum used before it visited only its
+    # support: the oracle for values and term order
+    xi = tuple(Fraction(v) for v in xi)
+    eta = tuple(Fraction(v) for v in eta)
+    terms = {}
+    for i, a in enumerate(xi):
+        for j, b in enumerate(eta):
+            c = a * b - (eta[i] * xi[j])
+            if c:
+                add_term(terms, (_bump(ctx.zero_exp, i), ctx.e, _bump(ctx.zero_exp, j)),
+                         CoeffPoly.const(c, ctx.nsym))
+    return PBWElement(ctx, terms)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "B2-rotated"])
+def test_angular_momentum_of_reflected_columns_matches_full_loop(name):
+    rs = {"B3": lambda: build_root_system("B", 3), "D4": lambda: build_root_system("D", 4),
+          "B2-rotated": rotated_b2}[name]()
+    ctx = CherednikContext(rs)
+    as_int = lambda col: tuple(v.numerator if v.denominator == 1 else v for v in col)
+    for w in rs.reflections():
+        gw, gwinv = group(ctx, w), group(ctx, w.inverse())
+        for i in range(ctx.n):
+            for j in range(ctx.n):
+                xi, eta = w.cols[i], w.cols[j]
+                got = angular_momentum(ctx, xi, eta)
+                want = _angular_momentum_full_loop(ctx, xi, eta)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert got == gw * angular_momentum_ij(ctx, i, j) * gwinv
+                for spelled in ((as_int(xi), as_int(eta)),
+                                (tuple(map(str, xi)), tuple(map(str, eta)))):
+                    again = angular_momentum(ctx, *spelled)
+                    assert list(again.terms.items()) == list(got.terms.items())
 
 
 def test_e_generator_difference_is_m():

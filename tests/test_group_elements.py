@@ -95,6 +95,8 @@ def test_products_are_interned(name):
     rs = SYSTEMS[name]()
     grp = rs.group()
     members = {id(w) for w in grp}
+    # interned, so an element hashes natively by identity
+    assert all(hash(w) == object.__hash__(w) for w in grp)
     assert len({hash(w) for w in grp}) == len(grp)
     for a in grp[:8]:
         for b in grp:
