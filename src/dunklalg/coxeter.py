@@ -6,20 +6,23 @@ with the orbit structure that labels the coupling symbols.
 Each group element is created once per root system and never changes. An
 element of W is determined by how it permutes the +-roots, because W fixes the
 orthogonal complement of the root span pointwise (the representation CHEVIE
-uses). Every element carries, from its creation on, that permutation, its
-matrix columns ``cols`` and, for signed permutations, ``perm``/``signs``.
-Equality is identity, so an element hashes by its address, natively, as an
-interned coefficient does; no order that reaches the output is read from
-those hashes. A product is read from the left factor's product Memo (at most
-|W| entries per element of W); its first build is, for two elements of W, a
-tuple composition and one dict lookup. The matrix of an element is computed
-once, when the element is first reached. Root-system automorphisms that
-move the complement, such as -1 in type A, lie outside W; they are interned
-by their columns and multiplied as matrices. Interning and the product Memos
-go through ``dict.setdefault``, and the inverse and key slots are filled
-lazily with values that a racing thread computes equal (the same interned
-element, equal tuples and strings), so sharing elements across threads is
-safe.
+uses). Every element carries that permutation from its creation on.
+``RootSystem.group()`` enumerates W on those permutations alone: each step
+composes two tuples and looks the result up, and an element it creates
+keeps its BFS parent, from which its matrix columns ``cols`` and, for
+signed permutations, ``perm``/``signs`` are filled once, on first use. An
+element made any other way gets them at creation. Equality is identity, so
+an element hashes by its address, natively, as an interned coefficient
+does; no order that reaches the output is read from those hashes. A product
+is read from the left factor's product Memo (at most |W| entries per
+element of W); its first build is, for two elements of W, a tuple
+composition and one dict lookup. Root-system automorphisms that move the
+complement, such as -1 in type A, lie outside W; they are interned by their
+columns and multiplied as matrices. Interning and the product Memos go
+through ``dict.setdefault``, and the matrix, inverse and key slots are
+filled lazily with values that a racing thread computes equal (the same
+interned element, equal tuples and strings), so sharing elements across
+threads is safe.
 
 ``RootSystem.act_exp`` is the one action of W on monomials; cherednik,
 polyrep and exactmath's ``XPoly.map_monomials`` and ``LocPoly.act`` all go
@@ -78,42 +81,50 @@ def _transpose(cols: Sequence[Vector]) -> tuple[Vector, ...]:
     return tuple(zip(*cols))
 
 
+def _matrix(cols: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], tuple | None, tuple | None]:
+    """(cols, perm, signs): perm/signs are the signed permutation the columns
+    make, with int signs, or None when they make none."""
+    perm: list[int] = []
+    signs: list[int] = []
+    for col in cols:
+        nz = [(k, v) for k, v in enumerate(col) if v]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            return cols, None, None
+        perm.append(nz[0][0])
+        signs.append(int(nz[0][1]))
+    return cols, tuple(perm), tuple(signs)
+
+
 class GroupElement:
     """A group element, created once by its RootSystem.
 
-    ``cols[j]`` is the image of e_j. ``roots`` is the permutation of the
-    +-roots (``roots[k]`` is the index of w(root k) in the root system's
-    signed-root list) when the element also fixes the complement of the root
-    span, as every element of W does; it is None otherwise. ``perm``/``signs``
+    ``roots`` is the permutation of the +-roots (``roots[k]`` is the index of
+    w(root k) in the root system's signed-root list) when the element also
+    fixes the complement of the root span, as every element of W does; it is
+    None otherwise. ``cols[j]`` is the image of e_j. ``perm``/``signs``
     (``int`` signs) are set when the element is a signed permutation,
     enabling monomial-to-monomial actions. Elements are interned, so equality
     is identity and the hash is the native identity hash.
 
-    Everything else an element answers is a pure function of it, computed on
-    first use and then read back: its products from a Memo keyed by the
-    other factor, its inverse, and its image key, sort key and rendering,
-    built together into one slot.
+    An element first reached by enumerating W is created from its roots and
+    its BFS parent (w, s) alone, with w*s equal to it. Its ``cols``,
+    ``perm`` and ``signs`` are filled together into one slot on first use,
+    as w applied to the columns of s; every other element is created with
+    them. Everything else an element answers is a pure function of it,
+    computed on first use and then read back: its products from a Memo keyed
+    by the other factor, its inverse, and its image key, sort key and
+    rendering, built together into one slot.
     """
 
-    __slots__ = ("rs", "roots", "cols", "perm", "signs", "_products", "_inverse", "_keys")
+    __slots__ = ("rs", "roots", "_parent", "_mat", "_products", "_inverse", "_keys")
 
-    def __init__(self, rs: RootSystem, cols: tuple[Vector, ...], roots: tuple[int, ...] | None):
+    def __init__(self, rs: RootSystem, cols: tuple[Vector, ...] | None,
+                 roots: tuple[int, ...] | None,
+                 parent: tuple[GroupElement, GroupElement] | None = None):
         self.rs = rs
         self.roots = roots
-        self.cols = cols
-        perm: list[int] = []
-        signs: list[int] = []
-        ok = True
-        for col in cols:
-            nz = [(k, v) for k, v in enumerate(col) if v]
-            if len(nz) == 1 and abs(nz[0][1]) == 1:
-                perm.append(nz[0][0])
-                signs.append(int(nz[0][1]))
-            else:
-                ok = False
-                break
-        self.perm = tuple(perm) if ok else None
-        self.signs = tuple(signs) if ok else None
+        self._parent = parent
+        self._mat = None if cols is None else _matrix(cols)
         self._products = Memo(self._compose)
         self._inverse: GroupElement | None = None
         self._keys: tuple[tuple, tuple, str] | None = None
@@ -123,9 +134,32 @@ class GroupElement:
 
     __hash__ = object.__hash__
 
+    def _fill_mat(self) -> tuple[tuple[Vector, ...], tuple | None, tuple | None]:
+        """(cols, perm, signs) of an element created from its BFS parent
+        (w, s), stored on first use: w*s maps e_j to w(s(e_j)). Filling w
+        first recurses one BFS level up, so the depth is below the rank: an
+        element of W is a product of at most rank reflections. A thread that
+        races another here stores an equal tuple."""
+        w, s = self._parent
+        mat = _matrix(tuple(w.apply(col) for col in s.cols))
+        self._mat = mat
+        return mat
+
+    @property
+    def cols(self) -> tuple[Vector, ...]:
+        return (self._mat or self._fill_mat())[0]
+
+    @property
+    def perm(self) -> tuple[int, ...] | None:
+        return (self._mat or self._fill_mat())[1]
+
+    @property
+    def signs(self) -> tuple[int, ...] | None:
+        return (self._mat or self._fill_mat())[2]
+
     @property
     def n(self) -> int:
-        return len(self.cols)
+        return self.rs.rank
 
     def is_identity(self) -> bool:
         return self is self.rs.identity
@@ -226,14 +260,16 @@ class RootSystem:
 
     # -- interning ------------------------------------------------------------
 
-    def _intern(self, cols: tuple[Vector, ...], roots: tuple[int, ...] | None) -> GroupElement:
-        """The one element with these columns. An element that fixes the
-        complement of the root span is keyed by ``roots``, anything else by
-        ``cols``; setdefault makes a racing creator get the element that won."""
-        w = GroupElement(self, cols, roots)
-        if roots is not None:
-            w = self._by_roots.setdefault(roots, w)
-        return self._by_cols.setdefault(cols, w)
+    def _intern(self, cols: tuple[Vector, ...] | None, roots: tuple[int, ...] | None,
+                parent: tuple[GroupElement, GroupElement] | None = None) -> GroupElement:
+        """The one element with these columns, or, when cols is None, the
+        element parent[0]*parent[1]. An element that fixes the complement of
+        the root span is keyed by ``roots``, anything else by ``cols``;
+        setdefault makes a racing creator get the element that won."""
+        w = GroupElement(self, cols, roots, parent)
+        if roots is None:
+            return self._by_cols.setdefault(cols, w)
+        return self._by_roots.setdefault(roots, w)
 
     def _root_action(self, cols: tuple[Vector, ...]) -> tuple[int, ...] | None:
         """Permutation of the +-roots under cols, or None when cols moves a
@@ -250,9 +286,13 @@ class RootSystem:
         return tuple(images) + tuple(k + m if k < m else k - m for k in images)
 
     def element(self, cols: tuple[Vector, ...]) -> GroupElement:
+        """The element with these columns. An element of W is found by its
+        root permutation the first time and then by its columns."""
         w = self._by_cols.get(cols)
         if w is None:
-            w = self._intern(cols, self._root_action(cols))
+            roots = self._root_action(cols)
+            w = self._by_roots.get(roots) or self._intern(cols, roots)
+            w = self._by_cols.setdefault(cols, w)
         return w
 
     def _reflection_cols(self, alpha: Vector) -> tuple[Vector, ...]:
@@ -288,16 +328,23 @@ class RootSystem:
 
     def group(self) -> tuple[GroupElement, ...]:
         """Enumerate W by breadth-first search over the root permutations of
-        products with the reflections."""
+        products with the reflections. A step composes two permutations and
+        looks the result up; it fills no product Memo, and an element it
+        creates gets its matrix on first use."""
         if self._group is None:
             gens = self.reflections()
+            by_roots = self._by_roots
             seen = {self.identity: None}
             frontier = [self.identity]
             while frontier:
                 new = []
                 for w in frontier:
+                    image = w.roots.__getitem__
                     for s in gens:
-                        nxt = w * s
+                        roots = tuple(map(image, s.roots))
+                        nxt = by_roots.get(roots)
+                        if nxt is None:
+                            nxt = self._intern(None, roots, (w, s))
                         if nxt not in seen:
                             seen[nxt] = None
                             new.append(nxt)

@@ -136,17 +136,6 @@ def loc_act_group(ctx: DunklContext, w: GroupElement, f: LocPoly) -> LocPoly:
     return f.act(partial(ctx.rs.act_exp, w), w.roots)
 
 
-class NablaOperator:
-    """A gauged Dunkl operator in a fixed direction, acting on LocPoly."""
-
-    def __init__(self, ctx: DunklContext, direction):
-        self.ctx = ctx
-        self.direction = direction
-
-    def __call__(self, f: LocPoly) -> LocPoly:
-        return nabla_apply(self.ctx, self.direction, f)
-
-
 def nabla_apply(ctx: DunklContext, xi, f: LocPoly) -> LocPoly:
     """Apply the gauged operator nabla_xi to a localized polynomial; xi is a
     direction vector, or a coordinate index for the unit direction."""

@@ -13,6 +13,8 @@ each suite to its results(ctx, degree, mode), default degree and default
 mode (None where it takes none); ``run_suite``, ``SUITES`` and
 ``default_degree`` read it, and a degree or mode a suite does not take is
 rejected. ``run_suite`` returns the untimed ``Report``; the CLI times it.
+``all`` gives one memo per generator to every family suite it runs, and
+drops them when it returns.
 """
 
 from __future__ import annotations
@@ -433,10 +435,12 @@ FAMILY_SUITES = {
 }
 
 
-def _families(suite: str, ctx: CherednikContext, skip=()) -> list[CheckResult]:
+def _families(suite: str, ctx: CherednikContext, skip=(), memos=None) -> list[CheckResult]:
     """Run the families of a family suite on ctx, except those in skip; the
-    families of one generator share its product memo."""
-    memos = Memo(partial(_Products, ctx))
+    families of one generator share its product memo, read from memos (a
+    Memo of _Products by generator) when given, else from one made here."""
+    if memos is None:
+        memos = Memo(partial(_Products, ctx))
     names = FAMILY_SUITES[suite][0 if ctx.rs.is_type_a() else 1]
     return [family(name, ctx, memos[FAMILIES[name][1]]) for name in names if name not in skip]
 
@@ -513,10 +517,12 @@ def _all(ctx: CherednikContext, degree: int, mode) -> list[CheckResult]:
         ("restriction", type_a and ctx.n >= 2), ("so3-example", type_a and ctx.n == 3),
         ("coxeter-general", True), ("hamiltonian", True), ("pfaffian", ctx.n % 2 == 0))
         if runs]
+    # one product memo per generator for the whole run, dropped on return
+    memos = Memo(partial(_Products, ctx))
     out: list[CheckResult] = []
     for name in names:
         # a family that two suites share runs once, at its first position
-        out += (_families(name, ctx, {r.name for r in out}) if name in FAMILY_SUITES
+        out += (_families(name, ctx, {r.name for r in out}, memos) if name in FAMILY_SUITES
                 else SUITE_TABLE[name][0](ctx, degree, mode))
     return out
 

@@ -10,6 +10,7 @@ general matrices.
 """
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -22,6 +23,7 @@ from dunklalg.cherednik import CherednikContext, group, s_elem
 from dunklalg.coxeter import GroupElement, _apply_cols, build_root_system, load_root_system
 from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly, add_term, format_rational
 from dunklalg.subalgebra import SubElement, SubWord, get_subalgebra
+from test_coxeter import _f4_config
 
 ROT = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))  # columns
 
@@ -260,6 +262,123 @@ def test_group_algebra_render_orders_mixed_elements():
                      [w for w in rs.group() if w.perm is None]):
             assert (sorted(same, key=GroupElement.sort_key)
                     == sorted(same, key=lambda w: w.image_key()))
+
+
+# -- W enumerated on root permutations, matrices filled on first use -----------
+
+def reflection_cols(alpha):
+    """Columns of s_alpha: v - 2 (alpha, v) / (alpha, alpha) alpha at v = e_j."""
+    aa = sum(a * a for a in alpha)
+    return tuple(tuple(Fraction(int(k == j)) - 2 * alpha[j] * alpha[k] / aa
+                       for k in range(len(alpha))) for j in range(len(alpha)))
+
+
+def matrix_bfs(rs):
+    """The columns of W in group()'s order: breadth first from the identity,
+    each level the new products w*s over w in order, then s in root order,
+    taken as matrix products. The products are taken on the integer
+    matrices d*w, d the common denominator of the reflections; every
+    product is checked to lie in Z/d again, as it does for the groups
+    tested here."""
+    n = rs.rank
+    gens = [reflection_cols(alpha) for alpha in rs.positive_roots]
+    d = math.lcm(*(v.denominator for s in gens for col in s for v in col))
+
+    def product(a, b):
+        cols = tuple(tuple(sum(a[k][t] * v for k, v in enumerate(col) if v) for t in range(n))
+                     for col in b)
+        assert all(x % d == 0 for col in cols for x in col)
+        return tuple(tuple(x // d for x in col) for col in cols)
+
+    gens = [tuple(tuple(int(d * v) for v in col) for col in s) for s in gens]
+    identity = tuple(tuple(d * int(k == j) for k in range(n)) for j in range(n))
+    seen = {identity: None}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                nxt = product(w, s)
+                if nxt not in seen:
+                    seen[nxt] = None
+                    new.append(nxt)
+        frontier = new
+    return [tuple(tuple(Fraction(x, d) for x in col) for col in w) for w in seen]
+
+
+def signed_perm(cols):
+    """(perm, signs) of columns that make a signed permutation, else (None, None)."""
+    nonzero = [[(k, v) for k, v in enumerate(col) if v] for col in cols]
+    if all(len(nz) == 1 and abs(nz[0][1]) == 1 for nz in nonzero):
+        return tuple(nz[0][0] for nz in nonzero), tuple(int(nz[0][1]) for nz in nonzero)
+    return None, None
+
+
+LAZY = {"A3": SYSTEMS["A3"], "B3": SYSTEMS["B3"], "D4": SYSTEMS["D4"],
+        "F4": lambda: load_root_system(_f4_config()),
+        "B2-rotated": SYSTEMS["B2-rotated"], "B4-rotated": lambda: rotated_b(4)}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_group_order_and_lazy_matrices_match_matrix_bfs(name):
+    rs = LAZY[name]()
+    grp = rs.group()
+    want = matrix_bfs(rs)
+    assert len(grp) == len(want)
+    for k, (w, cols) in enumerate(zip(grp, want)):
+        # the first read of cols, perm or signs fills all three
+        perm, signs = signed_perm(cols)
+        asked = [w.cols, w.perm, w.signs][k % 3]
+        assert asked == (cols, perm, signs)[k % 3]
+        assert (w.cols, w.perm, w.signs) == (cols, perm, signs)
+        assert w.signs is None or all(type(v) is int for v in w.signs)
+        assert rs.element(cols) is w and rs.element(w.cols) is w
+    assert rs.element(rs.identity.cols) is rs.identity
+
+
+def test_enumerating_w_builds_no_matrix_and_no_product():
+    rs = rotated_b(4)
+    grp = rs.group()
+    assert len(grp) == 384
+    made = {rs.identity, *rs.reflections()}
+    assert {w for w in grp if w._mat is not None} == made
+    assert all(len(w._products) == 0 for w in grp)
+    # the rank is read from the root system, not from a filled matrix
+    assert all(w.n == 4 for w in grp) and all(w._mat is None for w in grp if w not in made)
+    # an element looked up by its columns is found by its root permutation,
+    # without filling its matrix
+    w = grp[-1]
+    assert rs.element(matrix_bfs(rs)[-1]) is w and w._mat is None
+
+
+def test_four_threads_fill_matrices_alike():
+    # four threads read the matrices of the same fresh elements at once,
+    # two from the first element on and two from the last; every fill must
+    # store the same columns, permutation and signs
+    rs = rotated_b(4)
+    grp = rs.group()
+    barrier = threading.Barrier(4)
+    out = [None] * 4
+
+    def work(t):
+        order = grp[::-1] if t % 2 else grp
+        barrier.wait()
+        out[t] = {id(w): (w.cols, w.perm, w.signs) for w in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and None not in out
+    assert all(other == out[0] for other in out[1:])
+    want = matrix_bfs(rs)
+    assert [out[0][id(w)] for w in grp] == [(cols,) + signed_perm(cols) for cols in want]
 
 
 # -- the monomial action against a Fraction-matrix substitution oracle ---------

@@ -119,3 +119,29 @@ def test_no_product_memo_outlives_its_suite(monkeypatch, suite, system, key):
     gc.collect()
     assert refs and results and ctx.rs is not None
     assert all(ref() is None for ref in refs)
+
+
+def test_verify_all_builds_each_product_once(monkeypatch):
+    # verify all hands one product memo per generator to every family suite
+    # it runs, so a product that relations-so, crossing and coxeter-general
+    # all read is built once, and no memo outlives the run
+    builds, refs = _patch_products(monkeypatch)
+    ctx = _ctx("A3")
+    results = suites._all(ctx, 1, None)
+    gc.collect()
+    used = [built for built in builds if built]
+    assert len(used) == 2                     # one memo for M, one for E
+    assert all(len(built) == len(set(built)) for built in used)
+    assert refs and all(ref() is None for ref in refs)
+    # the suites run one after another build some products again
+    builds.clear()
+    alone = []
+    for suite in ("relations-so", "crossing", "relations-gl", "coxeter-general"):
+        alone += _run(suite, _ctx("A3"))
+    rebuilt = [k for built in builds for k in built]
+    assert set(rebuilt) == {k for built in used for k in built}
+    assert len(rebuilt) > sum(map(len, used))
+    # and the shared memo changes no verdict
+    by_name = {r.name: r for r in alone}
+    assert all(r.passed and r.instances == by_name[r.name].instances
+               for r in results if r.name in by_name)
