@@ -44,7 +44,6 @@ from .exactmath import (
     LocPoly,
     NotDivisible,
     XPoly,
-    poly_divide_exact,
 )
 from .expr import evaluate, parse_expression, print_expression
 from .polyrep import DunklContext, apply_element, dunkl_apply, nabla_apply, restrict_check, verify_hamiltonian_identity

@@ -185,18 +185,6 @@ class PBWElement(Combination):
                     add_term(acc, (ax, w, bx), c12 * c)
         return PBWElement(ctx, acc)
 
-    def filtration_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for (a, _, b) in self.terms)
-
-    def leading_part(self) -> PBWElement:
-        if not self.terms:
-            return self
-        d = self.filtration_degree()
-        return PBWElement(self.ctx, {k: c for k, c in self.terms.items()
-                                     if sum(k[0]) + sum(k[2]) == d})
-
     # -- canonical serialization ---------------------------------------------
 
     def _term_sort_key(self, key: TermKey):

@@ -112,8 +112,8 @@ class GroupElement:
     as w applied to the columns of s; every other element is created with
     them. Everything else an element answers is a pure function of it,
     computed on first use and then read back: its products from a Memo keyed
-    by the other factor, its inverse, and its image key, sort key and
-    rendering, built together into one slot.
+    by the other factor, its inverse, and its sort key and rendering, built
+    together into one slot.
     """
 
     __slots__ = ("rs", "roots", "_parent", "_mat", "_products", "_inverse", "_keys")
@@ -127,7 +127,7 @@ class GroupElement:
         self._mat = None if cols is None else _matrix(cols)
         self._products = Memo(self._compose)
         self._inverse: GroupElement | None = None
-        self._keys: tuple[tuple, tuple, str] | None = None
+        self._keys: tuple[tuple, str] | None = None
 
     def __eq__(self, other) -> bool:
         return self is other
@@ -196,29 +196,25 @@ class GroupElement:
             self._inverse = w
         return w
 
-    def _fill_keys(self) -> tuple[tuple, tuple, str]:
-        """(image key, sort key, rendering), stored on first use. A thread
-        that races another here stores an equal tuple."""
+    def _fill_keys(self) -> tuple[tuple, str]:
+        """(sort key, rendering), stored on first use. A thread that races
+        another here stores an equal tuple."""
         if self.perm is not None:
             image = tuple(s * (p + 1) for s, p in zip(self.signs, self.perm))
-            keys = (image, (0, image), "w(%s)" % ",".join(map(str, image)))
+            keys = ((0, image), "w(%s)" % ",".join(map(str, image)))
         else:
-            keys = (self.cols, (1, tuple(v for col in self.cols for v in col)),
+            keys = ((1, tuple(v for col in self.cols for v in col)),
                     "w{%s}" % ";".join(",".join(map(format_rational, col)) for col in self.cols))
         self._keys = keys
         return keys
 
-    def image_key(self) -> tuple:
-        """Compact serialization key: signed indices for signed permutations."""
-        return (self._keys or self._fill_keys())[0]
-
     def sort_key(self) -> tuple:
         """Printing order: signed permutations first, by their signed
         images, then every other element by its columns."""
-        return (self._keys or self._fill_keys())[1]
+        return (self._keys or self._fill_keys())[0]
 
     def render(self) -> str:
-        return (self._keys or self._fill_keys())[2]
+        return (self._keys or self._fill_keys())[1]
 
     def __repr__(self) -> str:
         return self.render()
@@ -354,9 +350,6 @@ class RootSystem:
                 frontier = new
             self._group = tuple(seen)
         return self._group
-
-    def order(self) -> int:
-        return len(self.group())
 
     # -- the action on monomials ----------------------------------------------
 
@@ -510,6 +503,9 @@ def load_root_system(config: dict) -> RootSystem:
                                     and all(isinstance(name, str) for name in symbols)):
         raise InvalidRootSystem("malformed config: symbols must list %d names, one per orbit"
                                 % norbits)
+    if symbols is not None and len(set(symbols)) < len(symbols):
+        twice = next(name for k, name in enumerate(symbols) if name in symbols[:k])
+        raise InvalidRootSystem("malformed config: symbol %r names two orbits" % twice)
     label = config.get("label", "custom")
     if not isinstance(label, str):
         raise InvalidRootSystem("malformed config: label must be a string")
@@ -519,17 +515,6 @@ def load_root_system(config: dict) -> RootSystem:
 def load_root_system_file(path: str) -> RootSystem:
     with open(path, "r", encoding="utf-8") as fh:
         return load_root_system(json.load(fh))
-
-
-def root_system_config(rs: RootSystem) -> dict:
-    """Serialize a root system to the JSON-compatible config mapping."""
-    return {
-        "rank": rs.rank,
-        "roots": [[format_rational(v) for v in root] for root in rs.positive_roots],
-        "orbits": [o + 1 for o in rs.orbit_of],
-        "symbols": list(rs.symbols),
-        "label": rs.label,
-    }
 
 
 @dataclass(frozen=True)

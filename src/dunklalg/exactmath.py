@@ -22,8 +22,9 @@ Coupling polynomials are interned: each CoeffPoly value exists once per
 process, in a table filled with setdefault and never evicted, so equality
 of two CoeffPolys is identity and they hash by identity. Products, sums and
 differences of interned values are read from Memos keyed by the operand
-pair, and so is the text of a value, keyed by the value and the symbol
-names. No order that reaches the output is read from those identity hashes.
+pair, and so is a value's text as a factor, keyed by the value and the
+symbol names. No order that reaches the output is read from those identity
+hashes.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads. Every engine memo is a
@@ -281,6 +282,25 @@ def _div(a, b) -> int | Fraction:
     return _exact_scalar(Fraction(a) / b)
 
 
+def _divide_terms(num: dict, den: dict, div) -> dict:
+    """Exact quotient of term maps by grevlex leading-term division, with
+    div(a, b) dividing coefficients; NotDivisible on a remainder."""
+    qe = max(den, key=grevlex_key)
+    qc = den[qe]
+    rem = dict(num)
+    out: dict = {}
+    while rem:
+        re = max(rem, key=grevlex_key)
+        m = tuple(a - b for a, b in zip(re, qe))
+        if any(e < 0 for e in m):
+            raise NotDivisible("polynomial division is not exact")
+        c = div(rem[re], qc)
+        add_term(out, m, c)
+        for e2, c2 in den.items():
+            add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
+    return out
+
+
 def _exact_terms(terms: dict) -> dict:
     """A raw coefficient map without its zeros, integral Fractions as ints."""
     return {e: v if v.__class__ is int else _exact_scalar(v) for e, v in terms.items() if v}
@@ -317,8 +337,8 @@ class CoeffPoly:
     get one object. Equality of two CoeffPolys is therefore identity, and the
     hash is the identity hash. A product, sum or difference with a CoeffPoly,
     int or Fraction is read from a Memo keyed by the operand pair, so each is
-    computed once per process; ``render`` and ``render_atom`` read Memos
-    keyed by (value, symbol names). Values are shared, so nothing may write
+    computed once per process; ``render_atom`` reads a Memo keyed by
+    (value, symbol names). Values are shared, so nothing may write
     into a CoeffPoly's ``terms``.
     """
 
@@ -452,21 +472,7 @@ class CoeffPoly:
         q = self._coerce(q)
         if q.is_zero():
             raise ZeroDivisionError("division by zero CoeffPoly")
-        if self.is_zero():
-            return CoeffPoly(self.nsym)
-        qe, qc = q.leading()
-        rem = dict(self.terms)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        while rem:
-            re = max(rem, key=grevlex_key)
-            m = tuple(a - b for a, b in zip(re, qe))
-            if any(e < 0 for e in m):
-                raise NotDivisible("coupling polynomial division is not exact")
-            c = _div(rem[re], qc)
-            add_term(out, m, c)
-            for e2, c2 in q.terms.items():
-                add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
-        return CoeffPoly(self.nsym, out)
+        return CoeffPoly(self.nsym, _divide_terms(self.terms, q.terms, _div))
 
     def content(self) -> int | Fraction:
         """Positive rational content (gcd of the coefficients)."""
@@ -502,7 +508,8 @@ class CoeffPoly:
     # -- rendering ----------------------------------------------------------
 
     def render(self, names: Sequence[str]) -> str:
-        return _RENDERED[self, tuple(names)]
+        return render_terms((format_rational(self.terms[e]), render_monomial(e, names) or "1")
+                            for e in sorted(self.terms, key=grevlex_key, reverse=True))
 
     def render_atom(self, names: Sequence[str]) -> str:
         """Render for use as a multiplicative prefix (parenthesized if a sum)."""
@@ -539,15 +546,10 @@ def _product(pair: tuple[CoeffPoly, CoeffPoly | int | Fraction]) -> CoeffPoly:
     return CoeffPoly(a.nsym, out)
 
 
-def _render(key: tuple[CoeffPoly, tuple[str, ...]]) -> str:
-    p, names = key
-    return render_terms((format_rational(p.terms[e]), render_monomial(e, names) or "1")
-                        for e in sorted(p.terms, key=grevlex_key, reverse=True))
-
-
 def _render_atom(key: tuple[CoeffPoly, tuple[str, ...]]) -> str:
-    s = _RENDERED[key]
-    return "(" + s + ")" if len(key[0].terms) > 1 else s
+    p, names = key
+    s = p.render(names)
+    return "(" + s + ")" if len(p.terms) > 1 else s
 
 
 _VALUES: dict[tuple[int, frozenset], CoeffPoly] = {}
@@ -555,8 +557,7 @@ _OPERANDS = (CoeffPoly, int, Fraction)
 _SUMS = Memo(partial(_combine, add_term))
 _DIFFERENCES = Memo(partial(_combine, sub_term))
 _PRODUCTS = Memo(_product)
-# text per (value, symbol names), one entry per value rendered
-_RENDERED = Memo(_render)
+# text as a factor per (value, symbol names), one entry per value rendered
 _ATOMS = Memo(_render_atom)
 
 
@@ -702,28 +703,16 @@ class XPoly(Combination):
         return XPoly(self.nvars, self.nsym, out)
 
     def try_divide(self, q: XPoly) -> XPoly | None:
-        """Exact quotient self/q, or None when q does not divide exactly."""
+        """Exact quotient self/q, or None when q does not divide exactly.
+        The engine divides only by root forms, with div_linear; the tests
+        check div_linear against this generic division."""
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by zero XPoly")
-        if self.is_zero():
-            return XPoly.zero(self.nvars, self.nsym)
-        qe = max(q.terms, key=grevlex_key)
-        qc = q.terms[qe]
-        rem = dict(self.terms)
-        out: dict[tuple[int, ...], CoeffPoly] = {}
-        while rem:
-            re = max(rem, key=grevlex_key)
-            m = tuple(a - b for a, b in zip(re, qe))
-            if any(p < 0 for p in m):
-                return None
-            try:
-                c = rem[re].divexact(qc)
-            except NotDivisible:
-                return None
-            add_term(out, m, c)
-            for e2, c2 in q.terms.items():
-                add_term(rem, tuple(a + b for a, b in zip(m, e2)), -c * c2)
+        try:
+            out = _divide_terms(self.terms, q.terms, CoeffPoly.divexact)
+        except NotDivisible:
+            return None
         return XPoly(self.nvars, self.nsym, out)
 
     def mul_linear(self, *vecs: Sequence[Fraction]) -> XPoly:
@@ -794,8 +783,8 @@ class XPoly(Combination):
             return None
         return XPoly(self.nvars, self.nsym, _coeff_polys(out, self.nsym))
 
-    def render(self, symbol_names: Sequence[str], var: str = "x") -> str:
-        names = ["%s%d" % (var, i + 1) for i in range(self.nvars)]
+    def render(self, symbol_names: Sequence[str]) -> str:
+        names = ["x%d" % (i + 1) for i in range(self.nvars)]
         return render_terms((self.terms[e].render_atom(symbol_names),
                              render_monomial(e, names) or "1")
                             for e in sorted(self.terms, key=grevlex_key, reverse=True))
@@ -812,14 +801,6 @@ def _coeff_polys(acc: dict[tuple[int, ...], dict], nsym: int) -> dict[tuple[int,
         if c:
             out[e] = c
     return out
-
-
-def poly_divide_exact(p: XPoly, q: XPoly) -> XPoly:
-    """Exact division in the polynomial ring; NotDivisible on any remainder."""
-    r = p.try_divide(q)
-    if r is None:
-        raise NotDivisible("polynomial division is not exact")
-    return r
 
 
 # ---------------------------------------------------------------------------

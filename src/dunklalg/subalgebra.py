@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, permutations
 from typing import NamedTuple, Sequence
 
 from .cherednik import (
@@ -123,38 +123,24 @@ class SubWord(NamedTuple):
 # The combinatorial counters (independent oracles for SubAlgebra.basis)
 # ---------------------------------------------------------------------------
 
+def _count_clash_free(gens: list[tuple[int, int]], d: int, clash) -> int:
+    """Multisets of d generator pairs in which no ordered pair of factors
+    clashes."""
+    return sum(1 for combo in combinations_with_replacement(gens, d)
+               if not any(clash(p, q) for p, q in permutations(combo, 2)))
+
+
 def count_noncrossing_multisets(n: int, d: int) -> int:
     """Independent brute-force counter for the so basis (kept separate)."""
-    gens = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = 0
-    for combo in combinations_with_replacement(gens, d):
-        ok = True
-        for s in range(len(combo)):
-            for t in range(len(combo)):
-                a, b = combo[s]
-                c, e = combo[t]
-                if a < c < b and e > b:
-                    ok = False
-        if ok:
-            total += 1
-    return total
+    return _count_clash_free([(i, j) for i in range(n) for j in range(i + 1, n)], d,
+                             lambda p, q: p[0] < q[0] < p[1] < q[1])
 
 
 def count_chain_multisets(n: int, d: int) -> int:
     """Independent counter for the gl basis: multisets of index pairs that
     are pairwise comparable in the product order."""
-    gens = [(i, j) for i in range(n) for j in range(n)]
-    total = 0
-    for combo in combinations_with_replacement(gens, d):
-        ok = True
-        for s in range(len(combo)):
-            for t in range(s + 1, len(combo)):
-                (a, b), (c, e) = combo[s], combo[t]
-                if (a - c) * (b - e) < 0:
-                    ok = False
-        if ok:
-            total += 1
-    return total
+    return _count_clash_free([(i, j) for i in range(n) for j in range(n)], d,
+                             lambda p, q: (p[0] - q[0]) * (p[1] - q[1]) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,30 +450,6 @@ def rho_subelement(alg: SubAlgebra) -> SubElement:
         add_term(terms, SubWord(((i, i),), ctx.e), ctx.one)
     for w, c in invariant_sum_S(ctx.rs, ctx.gmap).items():
         add_term(terms, SubWord((), w), -c)
-    return SubElement(alg, terms)
-
-
-def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
-                      nwords: int = 3) -> SubElement:
-    ctx = alg.ctx
-    n = ctx.n
-    grp = ctx.rs.group()
-    terms: dict[SubWord, CoeffPoly] = {}
-    for _ in range(rng.randint(1, nwords)):
-        deg = rng.randint(0, max_degree)
-        pairs = []
-        for _ in range(deg):
-            if alg.family == "so":
-                i = rng.randrange(n - 1)
-                j = rng.randrange(i + 1, n)
-            else:
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-            pairs.append((i, j))
-        tail = grp[rng.randrange(len(grp))]
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if c:
-            add_term(terms, SubWord(tuple(pairs), tail), ctx.one * c)
     return SubElement(alg, terms)
 
 

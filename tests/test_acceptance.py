@@ -35,10 +35,10 @@ from dunklalg.subalgebra import (
     get_subalgebra,
     h_omega_subelement,
     pbw_rank_check,
-    random_subelement,
     rho_subelement,
 )
 from dunklalg import suites
+from test_subalgebra import random_subelement
 
 _CTX = {}
 

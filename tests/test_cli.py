@@ -169,6 +169,12 @@ def test_readme_cli_examples(capsys):
     assert "# " + outputs[0] == lines[lines.index(commands[0]) + 1] + "\n"
 
 
+def test_readme_library_sketch_runs():
+    with open(README, "r", encoding="utf-8") as fh:
+        block = fh.read().split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_identical_invocations_identical_bytes(capsys):
     argv = ["verify", "pfaffian", "--group", "A", "--rank", "4", "--format", "json"]
     _, first = run(capsys, *argv)
@@ -486,6 +492,8 @@ def test_root_automorphisms_outside_w(capsys, argv, expected):
     {"rank": -1, "roots": [], "orbits": []},
     {"rank": 2.7, "roots": [["1", "-1"]], "orbits": [1]},
     {"rank": 2, "roots": [["1", "-1"]], "orbits": [1.9]},
+    {"rank": 2, "roots": [["1", "-1"], ["1", "1"], ["1", "0"], ["0", "1"]],
+     "orbits": [1, 1, 2, 2], "symbols": ["g", "g"]},
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, config):
     # a JSON list used to raise TypeError; proportional roots e1 and 2e1
@@ -494,7 +502,8 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys, config):
     # used; orbit labels that skip a number made symbols no root used, and
     # the type-A families then read the unused orbit and reported FAIL; rank
     # 0 or -1 crashed `verify all` with a traceback, and a rank or orbit label
-    # of 2.7 or 1.9 was truncated to 2 or 1
+    # of 2.7 or 1.9 was truncated to 2 or 1; one name for two orbits printed
+    # two independent couplings as g, and g in an expression reached only one
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     group = "custom:%s" % path

@@ -110,7 +110,7 @@ def test_products_are_interned(name):
 # -- keys, products and inverses read back from each element's tables ----------
 
 def oracle_keys(w):
-    """image_key, sort_key and render restated from the columns alone: a
+    """The signed image, sort_key and render restated from the columns alone: a
     signed permutation is keyed and printed by its signed images, any other
     element by its columns."""
     nonzero = [[(k, v) for k, v in enumerate(col) if v] for col in w.cols]
@@ -130,13 +130,13 @@ def test_cached_keys_match_their_formulas(name):
     rs = CACHED[name]()
     grp = rs.group()
     # enumerating W fills no key slot; each element fills it on first use,
-    # from whichever of the three keys is asked first
+    # from whichever of the two keys is asked first
     assert all(w._keys is None for w in grp)
     for k, w in enumerate(grp):
         want = oracle_keys(w)
-        asked = [w.image_key, w.sort_key, w.render][k % 3]()
-        assert asked == want[k % 3]
-        assert (w.image_key(), w.sort_key(), w.render()) == want
+        asked = [w.sort_key, w.render][k % 2]()
+        assert asked == want[1 + k % 2]
+        assert (w.sort_key(), w.render()) == want[1:]
         assert w.render() is w.render() and repr(w) == want[2]
         assert w.signs is None or all(type(s) is int for s in w.signs)
     assert any(w.perm is None for w in grp) == name.endswith("rotated")
@@ -175,7 +175,7 @@ def test_four_threads_fill_products_and_keys_alike():
         order = list(range(len(elems)))
         order = order[12 * t:] + order[:12 * t]
         products = {(i, j): elems[i] * elems[j] for i in order for j in order}
-        keys = {i: (elems[i].image_key(), elems[i].sort_key(), elems[i].render(),
+        keys = {i: (elems[i].sort_key(), elems[i].render(),
                     elems[i].inverse()) for i in order}
         out[t] = (elems, products, keys)
 
@@ -195,9 +195,9 @@ def test_four_threads_fill_products_and_keys_alike():
     for other_elems, other_products, other_keys in out[1:]:
         assert all(a is b for a, b in zip(elems, other_elems))
         assert all(other_products[ij] is w for ij, w in products.items())
-        assert all(other_keys[i][3] is keys[i][3] and other_keys[i][:3] == keys[i][:3]
+        assert all(other_keys[i][2] is keys[i][2] and other_keys[i][:2] == keys[i][:2]
                    for i in keys)
-    assert all(keys[i][:3] == oracle_keys(w) for i, w in enumerate(elems))
+    assert all(keys[i][:2] == oracle_keys(w)[1:] for i, w in enumerate(elems))
 
 
 def test_automorphism_outside_w_is_not_confused_with_w():
@@ -261,7 +261,7 @@ def test_group_algebra_render_orders_mixed_elements():
         for same in ([w for w in rs.group() if w.perm is not None],
                      [w for w in rs.group() if w.perm is None]):
             assert (sorted(same, key=GroupElement.sort_key)
-                    == sorted(same, key=lambda w: w.image_key()))
+                    == sorted(same, key=lambda w: oracle_keys(w)[0]))
 
 
 # -- W enumerated on root permutations, matrices filled on first use -----------

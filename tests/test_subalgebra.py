@@ -4,6 +4,7 @@ import itertools
 import random
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from dunklalg.cherednik import (
 )
 from dunklalg import subalgebra
 from dunklalg.coxeter import build_root_system, load_root_system
-from dunklalg.exactmath import CoeffPoly, in_span, sparse_nullspace
+from dunklalg.exactmath import CoeffPoly, add_term, in_span, sparse_nullspace
 from dunklalg.polyrep import DunklContext, apply_element
 from dunklalg.subalgebra import (
     CertificateFailure,
@@ -32,7 +33,6 @@ from dunklalg.subalgebra import (
     get_subalgebra,
     h_omega_subelement,
     pbw_rank_check,
-    random_subelement,
     rho_subelement,
     symbol_certificate,
 )
@@ -41,6 +41,30 @@ from test_general_group import ROT
 
 def actx(n, family="A"):
     return CherednikContext(build_root_system(family, n))
+
+
+def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
+                      nwords: int = 3) -> SubElement:
+    ctx = alg.ctx
+    n = ctx.n
+    grp = ctx.rs.group()
+    terms: dict[SubWord, CoeffPoly] = {}
+    for _ in range(rng.randint(1, nwords)):
+        deg = rng.randint(0, max_degree)
+        pairs = []
+        for _ in range(deg):
+            if alg.family == "so":
+                i = rng.randrange(n - 1)
+                j = rng.randrange(i + 1, n)
+            else:
+                i = rng.randrange(n)
+                j = rng.randrange(n)
+            pairs.append((i, j))
+        tail = grp[rng.randrange(len(grp))]
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if c:
+            add_term(terms, SubWord(tuple(pairs), tail), ctx.one * c)
+    return SubElement(alg, terms)
 
 
 def test_enumerate_so_counts():
