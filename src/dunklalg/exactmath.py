@@ -1256,7 +1256,10 @@ def in_span(vectors: Iterable[dict], candidate: dict) -> bool:
 def sparse_rank_numeric(rows: Iterable[dict[int, CoeffPoly]], values: Sequence[Fraction]) -> int:
     """Rank mod _P at the rational point values, a lower bound on the rank at
     that point; where the point has no residue mod _P, the exact rank there.
-    The point gives one value per coupling symbol of the rows."""
+    The point gives one value per coupling symbol of the rows. Nothing in
+    the engine calls it, since PBW flatness is decided by top symbols; it
+    stays for the tests' embedded-rank oracle, and perfbench/tracing.py
+    times it."""
     rows = list(rows)
     nsym = next((p.nsym for row in rows for p in row.values()), len(values))
     if len(values) != nsym:

@@ -51,6 +51,9 @@ def golden(name):
                              "--degree", "2", "--format", "json"]),
     ("centre_gl_a2_d2.json", ["centre", "--mode", "gl", "--group", "A", "--rank", "2",
                               "--degree", "2", "--format", "json"]),
+    ("verify_pbw_a3.txt", ["verify", "pbw", "--group", "A", "--rank", "3"]),
+    ("verify_pbw_a4_d4.json", ["verify", "pbw", "--group", "A", "--rank", "4", "--degree", "4",
+                               "--format", "json"]),
 ])
 def test_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -342,6 +345,21 @@ def test_numeric_mode_runs_whole_suites(capsys):
     code, out = run(capsys, "verify", "crossing", "--group", "A", "--rank", "3",
                     "--numeric-g", "5/7")
     assert code == 0
+    # g = -1/2 is singular, and the top-symbol certificate holds there too;
+    # a negative first value needs the = form, or argparse reads a flag
+    code, out = run(capsys, "verify", "pbw", "--group", "A", "--rank", "3",
+                    "--numeric-g=-1/2")
+    assert code == 0 and "status: pass" in out
+
+
+@pytest.mark.parametrize("rank,degree", [(5, 6), (6, 4)])
+def test_verify_pbw_past_the_embedded_range(capsys, rank, degree):
+    # top degrees of 2,520 (so A5 d6) and 1,764 (so A6 d4) words; ranking
+    # the embedded words took 30 s at so A4 d4 and did not finish so A5 d4
+    # in 9 minutes
+    code, out = run(capsys, "verify", "pbw", "--group", "A", "--rank", str(rank),
+                    "--degree", str(degree))
+    assert code == 0 and "status: pass" in out
 
 
 def test_rank_one_degenerate_group(capsys):

@@ -18,8 +18,17 @@ from dunklalg.cherednik import (
 )
 from dunklalg import subalgebra
 from dunklalg.coxeter import build_root_system, load_root_system
-from dunklalg.exactmath import CoeffPoly, add_term, in_span, sparse_nullspace
+from dunklalg.exactmath import (
+    CoeffPoly,
+    add_term,
+    in_span,
+    numbered_rows,
+    sparse_nullspace,
+    sparse_rank_numeric,
+    sparse_rank_symbolic,
+)
 from dunklalg.polyrep import DunklContext, apply_element
+from dunklalg.reporting import CheckResult
 from dunklalg.subalgebra import (
     CertificateFailure,
     DegreeBound,
@@ -65,6 +74,52 @@ def random_subelement(alg: SubAlgebra, rng: random.Random, max_degree: int = 3,
         if c:
             add_term(terms, SubWord(tuple(pairs), tail), ctx.one * c)
     return SubElement(alg, terms)
+
+
+# rational points per degree at which embedded_rank_oracle re-ranks
+SPECIALIZATIONS = 3
+SPECIALIZATION_SEED = 12345
+
+
+def embedded_rank_oracle(family: str, ctx: CherednikContext, d: int):
+    """The embedded flatness check that pbw_rank_check's top symbols
+    replace: the basis words of degree <= d, embedded in H_c, ranked over
+    Q(g) per cumulative degree and again mod 2^61 - 1 at seeded rational
+    points. Counters and basis are read through the engine, so a patch
+    reaches both checks."""
+    alg = get_subalgebra(ctx, family)
+    counter = (subalgebra.count_noncrossing_multisets if family == "so"
+               else subalgebra.count_chain_multisets)
+    result = CheckResult("pbw-flatness-%s" % family)
+    details = {"per_degree": []}
+    rng = random.Random(SPECIALIZATION_SEED)
+    words: list[SubWord] = []
+    for deg in range(d + 1):
+        batch = alg.basis(deg)
+        expected = counter(ctx.n, deg)
+        words.extend(batch)
+        rows = numbered_rows(alg.embed_word(word).terms for word in words)
+        sym_rank = sparse_rank_symbolic(rows)
+        num_ranks = []
+        for _ in range(SPECIALIZATIONS):
+            vals = [Fraction(rng.randint(2, 60), rng.randint(1, 7)) for _ in range(max(ctx.nsym, 1))]
+            num_ranks.append(sparse_rank_numeric(rows, vals[:ctx.nsym]))
+        entry = {"degree": deg, "count": len(batch), "combinatorial": expected,
+                 "cumulative": len(words), "rank": sym_rank, "numeric_ranks": num_ranks}
+        details["per_degree"].append(entry)
+        result.instances += 1
+        if len(batch) != expected:
+            result.record("degree %d count %d != combinatorial %d" % (deg, len(batch), expected))
+        if sym_rank != len(words):
+            result.record("degree <= %d rank %d != word count %d" % (deg, sym_rank, len(words)))
+        if any(r != sym_rank for r in num_ranks):
+            result.record("degree <= %d specialized rank disagrees: %s vs %d"
+                          % (deg, num_ranks, sym_rank))
+    return result, details
+
+
+def _failure_texts(result: CheckResult) -> list[str]:
+    return [f["instance"] for f in result.failures]
 
 
 def test_enumerate_so_counts():
@@ -277,6 +332,21 @@ def test_pbw_rank_small():
     assert [e["count"] for e in details2["per_degree"]] == [1, 4, 9]
 
 
+@pytest.mark.parametrize("family,group,n,d", [
+    ("so", "A", 3, 4), ("so", "A", 4, 2), ("so", "D", 4, 3), ("gl", "A", 2, 2), ("gl", "A", 3, 2),
+])
+def test_pbw_rank_check_matches_the_embedded_oracle(family, group, n, d):
+    ctx = actx(n, group)
+    result, details = pbw_rank_check(family, ctx, d)
+    oracle, oracle_details = embedded_rank_oracle(family, ctx, d)
+    assert result.passed and oracle.passed, (result.failures, oracle.failures)
+    assert (result.name, result.instances) == (oracle.name, oracle.instances)
+    keys = ("degree", "count", "combinatorial", "cumulative", "rank")
+    assert details["per_degree"] == [{k: e[k] for k in keys} for e in oracle_details["per_degree"]]
+    for e in oracle_details["per_degree"]:
+        assert e["numeric_ranks"] == [e["rank"]] * SPECIALIZATIONS
+
+
 def test_centralizer_gl_n2():
     ctx = actx(2)
     sols = centralizer("gl", ctx, 2)
@@ -397,9 +467,28 @@ def test_symbol_certificate_rejects_a_dependent_word(monkeypatch):
     monkeypatch.setattr(SubAlgebra, "basis", with_crossing)
     with pytest.raises(CertificateFailure):
         symbol_certificate(alg, 2)
+    # pbw_rank_check decides by the same symbols; the embedded oracle misses
+    # the word, whose S-terms make it independent in H_c, so only the
+    # symbols see that it breaks the filtration
+    result, _ = pbw_rank_check("so", ctx, 2)
+    assert _failure_texts(result) == ["degree 2 count 21 != combinatorial 20",
+                                      "degree <= 2 rank 27 != word count 28"]
+    oracle, _ = embedded_rank_oracle("so", ctx, 2)
+    assert _failure_texts(oracle) == ["degree 2 count 21 != combinatorial 20"]
     # centralizer certifies before it solves
     with pytest.raises(CertificateFailure):
         centralizer("so", ctx, 1)
+
+    def with_repeat(self, d):
+        words = real(self, d)
+        return words + words[-1:] if d == 2 else words
+
+    monkeypatch.setattr(SubAlgebra, "basis", with_repeat)
+    monkeypatch.setattr(subalgebra, "count_noncrossing_multisets",
+                        lambda n, d: count_noncrossing_multisets(n, d) + (d == 2))
+    for check in (pbw_rank_check, embedded_rank_oracle):
+        result, _ = check("so", ctx, 2)
+        assert _failure_texts(result) == ["degree <= 2 rank 27 != word count 28"], check
 
 
 def test_centralizer_rejects_an_element_that_does_not_commute(monkeypatch):
