@@ -8,17 +8,17 @@ coefficients. The generators obey
 
 and multiplication renormalizes products by commuting single D factors
 across single x factors, inserting group-algebra terms from the S pairing.
-One memo per context holds the normal form of D^b x^c (``db_x``): the entry
-for a single D_i follows D_i x^c = x_j (D_i x^(c-e_j)) + S_ij x^(c-e_j), and
-a longer D^b moves one D_i across the entries of D^(b-e_i) x^c. Moving x^a
-or D^b across a group element uses the root system's memoized ``act_exp``.
-On top of these, each context memoizes the product template of
-(w1 D^b1)(x^a2 w2), so a product of two terms costs one exponent shift and
-one coefficient product per output term. The named elements (M_ij, E_kl,
-H_Omega, rho, the subalgebras, ...) are memoized per context by ``named``.
-Every memo is an exactmath.Memo, filled once with setdefault and never
-evicted (``named`` stores the same way), so threads that race share the
-entry that won.
+Each context memoizes the normal form of D^b x^c (``db_x``) and the product
+template of (w1 D^b1)(x^a2 w2), which moves x^a across w1 and D^b across w2
+with the root system's memoized ``act_exp``. The entry of db_x for a single
+D_i follows D_i x^c = x_j (D_i x^(c-e_j)) + S_ij x^(c-e_j); for a longer
+D^b, each entry x^alpha u D^beta of D^(b-e_i) x^c reads the template of D_i
+and x^alpha u and adds beta to its D exponents. A product of two terms
+costs one exponent shift and one coefficient product per output term of
+its template. The named elements (M_ij, E_kl, H_Omega, rho, the
+subalgebras, ...) are memoized per context by ``named``. Every memo is an
+exactmath.Memo, filled once with setdefault and never evicted (``named``
+stores the same way), so threads that race share the entry that won.
 
 The engine never commits to a gauge for the D generators: both the
 polynomial-preserving and the localized realizations satisfy the same
@@ -110,17 +110,11 @@ class CherednikContext:
                 for f, a in self.rs.act_exp(w, c2):
                     add_term(acc, (a, w, self.zero_exp), kappa * f if f != 1 else kappa)
         else:
+            # D_i (x^alpha u D^beta) for each entry of D^(b - e_i) x^c: the
+            # product template of D_i and x^alpha u, then D^beta
             for coef, alpha, u, beta in self.db_x(_bump(b, i, -1), c):
-                for coef2, a2, u2, d in self._dbx[e_i, alpha]:
-                    w = u2 * u
-                    cc = coef * coef2
-                    if d != self.zero_exp:
-                        # the surviving D_i still has to cross u
-                        for f, db in self.rs.act_exp(u.inverse(), d):
-                            bout = tuple(x + y for x, y in zip(db, beta))
-                            add_term(acc, (a2, w, bout), cc * f if f != 1 else cc)
-                    else:
-                        add_term(acc, (a2, w, beta), cc)
+                for a, w, d, f in self._tm[self.e, e_i, alpha, u]:
+                    add_term(acc, (a, w, tuple(map(add, d, beta))), coef * f)
         return tuple((v, a, w, bb) for (a, w, bb), v in acc.items())
 
     def template(self, w1: GroupElement, b1: tuple[int, ...], a2: tuple[int, ...],
@@ -288,15 +282,10 @@ def _rational(v) -> int | Fraction:
 
 
 def angular_momentum_ij(ctx: CherednikContext, i: int, j: int) -> PBWElement:
-    """M_ij = x_i D_j - x_j D_i, zero when i == j; its terms are in the order
-    angular_momentum gives them (lower x index first)."""
+    """M_ij = x_i D_j - x_j D_i: angular_momentum on the unit vectors e_i and
+    e_j, so zero when i == j, and its lower x index comes first."""
     def build():
-        if i == j:
-            return PBWElement(ctx)
-        z = ctx.zero_exp
-        plus = ((_bump(z, i), ctx.e, _bump(z, j)), ctx.one)
-        minus = ((_bump(z, j), ctx.e, _bump(z, i)), -ctx.one)
-        return PBWElement(ctx, dict((plus, minus) if i < j else (minus, plus)))
+        return angular_momentum(ctx, _bump(ctx.zero_exp, i), _bump(ctx.zero_exp, j))
     return ctx.named(("M", i, j), build)
 
 

@@ -242,24 +242,6 @@ def render_monomial(exp: Sequence[int], names: Sequence[str]) -> str:
     return "*".join(factors)
 
 
-def _add_scaled(acc: dict, terms: dict, r) -> None:
-    """acc += r * terms on raw coefficient maps; r is an int or a Fraction,
-    and 1 or -1 forms no product. Zeros and integral Fractions may remain."""
-    get = acc.get
-    if r == 1:
-        for s, v in terms.items():
-            p = get(s)
-            acc[s] = v if p is None else p + v
-    elif r == -1:
-        for s, v in terms.items():
-            p = get(s)
-            acc[s] = -v if p is None else p - v
-    else:
-        for s, v in terms.items():
-            p = get(s)
-            acc[s] = v * r if p is None else p + v * r
-
-
 def _exact_scalar(v) -> int | Fraction:
     """v as an exact coefficient value: an int when it is integral, else a
     Fraction. Floats are converted exactly, never stored. A string is not a
@@ -717,27 +699,18 @@ class XPoly(Combination):
 
     def mul_linear(self, *vecs: Sequence[Fraction]) -> XPoly:
         """Product with the linear forms (vec, x), one per vec: one exponent
-        shift per nonzero entry of each. The chain runs on raw coefficient
-        maps and builds the CoeffPolys once, at the end; an empty chain
-        returns self."""
+        shift per nonzero entry of each, accumulated with add_term; an empty
+        chain returns self."""
         if any(len(vec) != self.nvars for vec in vecs):
             raise ContextMismatch("mixed polynomial contexts")
-        if not vecs:
-            return self
-        acc = {e: c.terms for e, c in self.terms.items()}  # read, never written
+        terms = self.terms
         for vec in vecs:
             parts = [(k, _exact_scalar(v)) for k, v in enumerate(vec) if v]
-            src, acc = acc, {}
+            src, terms = terms, {}
             for e, c in src.items():
                 for k, r in parts:
-                    key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                    tgt = acc.get(key)
-                    if tgt is None:
-                        # a new map: c may be a live CoeffPoly's own terms
-                        acc[key] = dict(c) if r == 1 else {s: v * r for s, v in c.items()}
-                    else:
-                        _add_scaled(tgt, c, r)
-        return XPoly(self.nvars, self.nsym, _coeff_polys(acc, self.nsym))
+                    add_term(terms, e[:k] + (e[k] + 1,) + e[k + 1:], c if r == 1 else c * r)
+        return XPoly(self.nvars, self.nsym, terms) if vecs else self
 
     def div_linear(self, vec: Sequence[Fraction]) -> XPoly | None:
         """Exact quotient by the linear form (vec, x), or None on a remainder.
@@ -745,9 +718,9 @@ class XPoly(Combination):
         Synthetic division in x_j, the first coordinate with vec[j] != 0.
         Terms are taken in falling x_j-degree buckets: each one gives the
         quotient term t = term / (vec[j] x_j), and t times the rest of the form
-        is subtracted from the bucket one degree lower. What is left in the
-        x_j-free bucket is the remainder. Exact over Q[g] since vec[j] is a
-        nonzero rational.
+        is subtracted from the bucket one degree lower with add_term. What is
+        left in the x_j-free bucket is the remainder. Exact over Q[g] since
+        vec[j] is a nonzero rational.
         """
         if len(vec) != self.nvars:
             raise ContextMismatch("mixed polynomial contexts")
@@ -756,32 +729,30 @@ class XPoly(Combination):
             raise ZeroDivisionError("division by the zero linear form")
         inv = _div(1, vec[j])
         rest = [(k, _exact_scalar(-v * inv)) for k, v in enumerate(vec) if v and k != j]
-        rem = {e: dict(c.terms) for e, c in self.terms.items()}
+        rem = dict(self.terms)
         buckets: dict[int, list[tuple[int, ...]]] = {}
         for e in rem:
             buckets.setdefault(e[j], []).append(e)
-        out: dict[tuple[int, ...], dict] = {}
+        out: dict[tuple[int, ...], CoeffPoly] = {}
         for d in range(max(buckets, default=0), 0, -1):
             lower = buckets.setdefault(d - 1, [])
             for e in buckets.pop(d, ()):
-                c = {s: v for s, v in rem.pop(e).items() if v}
-                if not c:
+                # add_term deletes a key whose sum cancels, and a key filled
+                # again after that is listed twice, so a listing may find
+                # nothing
+                c = rem.pop(e, None)
+                if c is None:
                     continue
-                # e leaves rem here, and m differs from e only in x_j, so
-                # each quotient exponent is written once; c is a new map
+                # m differs from e only in x_j, so each quotient exponent is
+                # written once
                 m = e[:j] + (d - 1,) + e[j + 1:]
-                out[m] = c if inv == 1 else {s: v * inv for s, v in c.items()}
+                out[m] = c if inv == 1 else c * inv
                 for k, r in rest:
                     key = m[:k] + (m[k] + 1,) + m[k + 1:]
-                    tgt = rem.get(key)
-                    if tgt is None:
-                        rem[key] = dict(c) if r == 1 else {s: v * r for s, v in c.items()}
+                    if key not in rem:
                         lower.append(key)
-                    else:
-                        _add_scaled(tgt, c, r)
-        if any(v for c in rem.values() for v in c.values()):
-            return None
-        return XPoly(self.nvars, self.nsym, _coeff_polys(out, self.nsym))
+                    add_term(rem, key, c if r == 1 else c * r)
+        return None if rem else XPoly(self.nvars, self.nsym, out)
 
     def render(self, symbol_names: Sequence[str]) -> str:
         names = ["x%d" % (i + 1) for i in range(self.nvars)]
@@ -791,16 +762,6 @@ class XPoly(Combination):
 
     def __repr__(self) -> str:
         return "XPoly(%s)" % self.render(tuple("g%d" % (i + 1) for i in range(self.nsym)))
-
-
-def _coeff_polys(acc: dict[tuple[int, ...], dict], nsym: int) -> dict[tuple[int, ...], CoeffPoly]:
-    """Raw coefficient maps to nonzero CoeffPoly terms, dropping zeros."""
-    out = {}
-    for e, t in acc.items():
-        c = CoeffPoly(nsym, t)
-        if c:
-            out[e] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

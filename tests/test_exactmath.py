@@ -901,6 +901,26 @@ def test_linear_kernels_match_generic_division(case):
             assert bumped.div_linear(r) is None
             assert bumped.try_divide(form) is None
     assert non_divisible > 0
+    # hand-built divisions by x1 + x2 + x3 in which a key cancels and is
+    # filled again, so it is listed twice in its x1 bucket. Not divisible:
+    # x1*x3 cancels x2*x3 and x1*x2 fills it again. Divisible: in the
+    # x1-degree 1 bucket, x1^2*x3^2 cancels x1*x2*x3^2, x1^2*x2*x3 cancels
+    # x1*x2^2*x3 and fills x1*x2*x3^2 again
+    pad = (0,) * (n - 3)
+    vec = (1, 1, 1) + pad
+    form = XPoly.linear_form(vec, nsym)
+
+    def poly(*terms):
+        return XPoly(n, nsym, {e + pad: CoeffPoly.const(c, nsym) for e, c in terms})
+
+    refilled = poly(((1, 0, 1), 1), ((1, 1, 0), 1), ((0, 1, 1), 1))
+    assert refilled.div_linear(vec) is None
+    assert refilled.try_divide(form) is None
+    quotient = poly(((1, 1, 1), -1), ((0, 0, 3), -1), ((1, 0, 2), 1), ((0, 1, 2), 1))
+    divisible = poly(((0, 2, 2), 1), ((2, 0, 2), 1), ((0, 0, 4), -1), ((1, 1, 2), 1),
+                     ((1, 2, 1), -1), ((2, 1, 1), -1))
+    assert divisible == quotient.mul_linear(vec)
+    assert divisible.div_linear(vec) == quotient == divisible.try_divide(form)
 
 
 @pytest.mark.parametrize("case", sorted(ROOT_CASES))
@@ -926,9 +946,9 @@ def test_mul_linear_chain_matches_single_forms(case):
 
 
 def test_linear_kernels_leave_their_operand_alone():
-    # entries 1 and -1 take the copying branch, the others the scaled one;
-    # every form has several nonzero entries, so shifted terms collide, and
-    # dividing by (1, -1, 2, 0) copies and scales into the same remainder
+    # an entry 1 adds a term's coefficient itself, the others its product by
+    # the entry; every form has several nonzero entries, so shifted terms
+    # collide, and dividing by (1, -1, 2, 0) adds both into the same remainder
     forms = [(1, Fraction(-3, 2), 0, 2), (Fraction(2, 3), 1, -1, 0), (1, -1, 2, 0)]
     rng = random.Random(45)
     for _ in range(6):

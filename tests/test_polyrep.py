@@ -14,7 +14,7 @@ from dunklalg.cherednik import (
     one,
     x_gen,
 )
-from dunklalg.coxeter import build_root_system
+from dunklalg.coxeter import RootSystem, build_root_system
 
 from test_general_group import rotated_b2
 from dunklalg.exactmath import CoeffPoly, LocPoly, XPoly
@@ -106,25 +106,32 @@ def test_apply_identity():
 
 
 def test_apply_respects_products():
-    actx = CherednikContext(build_root_system("A", 3))
-    ctx = DunklContext.of(actx)
-    rng = random.Random(71)
-    grp = actx.rs.group()
-    gens = ([("x", i) for i in range(3)] + [("D", i) for i in range(3)]
-            + [("w", w) for w in grp])
-    for _ in range(25):
-        word = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 4))]
-        p = rand_poly(ctx, rng, deg=3)
-        stepwise = apply_generator_word(ctx, word, p)
-        elem = one(actx)
-        for kind, payload in word:
-            if kind == "x":
-                elem = elem * x_gen(actx, payload)
-            elif kind == "D":
-                elem = elem * d_gen(actx, payload)
-            else:
-                elem = elem * group(actx, payload)
-        assert apply_element(ctx, elem, p) == stepwise
+    # B3 and rotated B2 draw the reflections, which generate W and leave
+    # more room for D factors: words such as D D w x fill D^b x^c with
+    # |b| >= 2, whose entries the product template moves across group
+    # elements, in rotated B2 across elements that are not signed permutations
+    for rs, elements, seed, words, longest in (
+            (build_root_system("A", 3), RootSystem.group, 71, 25, 4),
+            (build_root_system("B", 3), RootSystem.reflections, 72, 60, 5),
+            (rotated_b2(), RootSystem.reflections, 74, 60, 5)):
+        actx = CherednikContext(rs)
+        ctx = DunklContext.of(actx)
+        rng = random.Random(seed)
+        gens = ([("x", i) for i in range(actx.n)] + [("D", i) for i in range(actx.n)]
+                + [("w", w) for w in elements(rs)])
+        for _ in range(words):
+            word = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, longest))]
+            p = rand_poly(ctx, rng, deg=3)
+            stepwise = apply_generator_word(ctx, word, p)
+            elem = one(actx)
+            for kind, payload in word:
+                if kind == "x":
+                    elem = elem * x_gen(actx, payload)
+                elif kind == "D":
+                    elem = elem * d_gen(actx, payload)
+                else:
+                    elem = elem * group(actx, payload)
+            assert apply_element(ctx, elem, p) == stepwise
 
 
 def test_apply_multiplicative_on_elements():
